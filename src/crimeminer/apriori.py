@@ -23,8 +23,8 @@ from itertools import combinations, groupby
 from typing import Callable, Hashable, Iterable, Mapping, Sequence, TextIO
 
 from .errors import EmptyTransactionListError
-from .preprocess import WEEKDAY_NAMES, TimeBin, UnifiedCrimeRecord
 from .stats import round_half_up
+from .vocab import TIME_RANK, WEEKDAY_RANK, UnifiedCrimeRecord, value_order_key
 
 Item = Hashable
 ItemKey = Callable[[Item], object]
@@ -34,18 +34,12 @@ DAY_TAG = "day"
 TIME_TAG = "time"
 
 _TAG_RANK = {LOCATION_TAG: 0, DAY_TAG: 1, TIME_TAG: 2}
-_WEEKDAY_RANK = {name: i for i, name in enumerate(WEEKDAY_NAMES)}
-_TIME_RANK = {b.value: i for i, b in enumerate(TimeBin)}
 
 
 def hotspot_item_key(item: tuple[str, str]):
     """Canonical order for tagged items: location < day < time, then value order."""
     tag, value = item
-    if tag == DAY_TAG:
-        return (_TAG_RANK[tag], _WEEKDAY_RANK[value])
-    if tag == TIME_TAG:
-        return (_TAG_RANK[tag], _TIME_RANK[value])
-    return (_TAG_RANK[tag], value)
+    return (_TAG_RANK[tag], value_order_key(tag, value))
 
 
 @dataclass(frozen=True)
@@ -262,7 +256,7 @@ def mine_hotspot_patterns(
                 count=stat.count,
             )
         )
-    patterns.sort(key=lambda p: (p.location, _WEEKDAY_RANK[p.day], _TIME_RANK[p.time]))
+    patterns.sort(key=lambda p: (p.location, WEEKDAY_RANK[p.day], TIME_RANK[p.time]))
     run.patterns = patterns
     return run
 

@@ -21,19 +21,11 @@ from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence, TextIO, Union
 
 from .errors import AllZeroCountsError, DatasetTooSmallError, EmptyTrainingSetError
-from .preprocess import (
-    MONTH_NAMES,
-    WEEKDAY_NAMES,
-    CrimeCategory,
-    TimeBin,
-    UnifiedCrimeRecord,
+from .vocab import (
+    MONTH_RANK, WEEKDAY_RANK, CrimeCategory, TimeBin, UnifiedCrimeRecord, value_order_key,
 )
 
 FEATURES = ("month", "day", "time", "location")
-
-_MONTH_RANK = {name: i for i, name in enumerate(MONTH_NAMES)}
-_WEEKDAY_RANK = {name: i for i, name in enumerate(WEEKDAY_NAMES)}
-_TIME_RANK = {b.value: i for i, b in enumerate(TimeBin)}
 
 CLASSES = tuple(CrimeCategory)
 
@@ -53,9 +45,9 @@ class FeatureVector:
     location: str
 
     def __post_init__(self):
-        if self.month not in _MONTH_RANK:
+        if self.month not in MONTH_RANK:
             raise ValueError(f"unknown month {self.month!r}")
-        if self.day not in _WEEKDAY_RANK:
+        if self.day not in WEEKDAY_RANK:
             raise ValueError(f"unknown weekday {self.day!r}")
         if not isinstance(self.time, TimeBin):
             raise ValueError(f"time must be a TimeBin, got {self.time!r}")
@@ -76,17 +68,6 @@ def feature_of(record: UnifiedCrimeRecord, feature: str) -> str:
 
 def vector_from_record(record: UnifiedCrimeRecord) -> FeatureVector:
     return FeatureVector(record.month, record.day, record.time, record.location)
-
-
-def value_order_key(feature: str, value: str):
-    """Canonical within-feature value order used for all tie-breaks."""
-    if feature == "month":
-        return _MONTH_RANK[value]
-    if feature == "day":
-        return _WEEKDAY_RANK[value]
-    if feature == "time":
-        return _TIME_RANK[value]
-    return value
 
 
 # --- train/test splitting ----------------------------------------------------
@@ -472,6 +453,8 @@ def _dt_node_from_json(obj: Mapping) -> TreeSplit | TreeLeaf:
     if obj["kind"] == "leaf":
         counts = {CrimeCategory(int(k)): int(v) for k, v in obj["counts"].items()}
         return TreeLeaf(counts=counts, majority=CrimeCategory(int(obj["class"])))
+    if obj["feature"] not in FEATURES:
+        raise ValueError(f"unknown split feature {obj['feature']!r}")
     return TreeSplit(
         feature=obj["feature"],
         value=obj["value"],
@@ -498,10 +481,12 @@ def save_model(model: NaiveBayesModel | DecisionTree, fp: TextIO) -> None:
 
 
 def load_model(fp: TextIO) -> NaiveBayesModel | DecisionTree:
+    """Read a saved model; any malformed content raises ``ValueError``."""
     obj = json.load(fp)
-    schema = obj.get("schema")
-    if schema == NB_SCHEMA:
-        return nb_from_json_dict(obj)
-    if schema == DT_SCHEMA:
-        return dt_from_json_dict(obj)
-    raise ValueError(f"unknown model schema {schema!r}")
+    schema = obj.get("schema") if isinstance(obj, dict) else None
+    if schema not in (NB_SCHEMA, DT_SCHEMA):
+        raise ValueError(f"unknown model schema {schema!r}")
+    try:
+        return nb_from_json_dict(obj) if schema == NB_SCHEMA else dt_from_json_dict(obj)
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise ValueError(f"malformed {schema} model: {type(exc).__name__}: {exc}") from None

@@ -14,10 +14,9 @@ import json
 import sys
 from pathlib import Path
 
-from . import apriori, classify, demographics, evaluate, ingestion, preprocess, stats
+# Stage modules are imported inside the handlers that run them, so one call
+# (``predict``, ``--help``) does not load and compile the others.
 from .errors import CrimeMinerError
-from .ingestion import Schema
-from .preprocess import MONTH_NAMES, WEEKDAY_NAMES, TimeBin
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -134,15 +133,22 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     parser, commands = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fp:
-            overrides = json.load(fp)
+        try:
+            with open(args.config, encoding="utf-8") as fp:
+                overrides = json.load(fp)
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"cannot load config {args.config}: {exc}") from None
         if not isinstance(overrides, dict):
             raise UsageError(f"config {args.config} must hold a JSON object")
-        known = vars(args)
-        commands[args.command].set_defaults(
-            **{k: v for k, v in overrides.items() if k in known}
-        )
+        sub = commands[args.command]
+        flags = {a.dest for a in sub._actions if a.option_strings} - {"help", "config"}
+        unknown = ", ".join(sorted(set(overrides) - flags))
+        if unknown:
+            raise UsageError(f"config {args.config}: {args.command} has no flag for {unknown}")
+        sub.set_defaults(**overrides)
         args = parser.parse_args(argv)  # explicit flags still win over config
+    if not isinstance(args.threads, int) or args.threads < 1:
+        raise UsageError(f"--threads must be an integer >= 1, got {args.threads!r}")
     return args
 
 
@@ -164,7 +170,8 @@ def _resolved_output(args) -> str | None:
 # --- handlers -----------------------------------------------------------------
 
 def _cmd_ingest(args) -> None:
-    schema = Schema.parse(args.schema)
+    from . import ingestion
+    schema = ingestion.Schema.parse(args.schema)
     records, report = ingestion.load_crime_csv(args.input, schema)
     if not args.no_filter:
         records = ingestion.filter_crimes(records, schema, args.exclude)
@@ -176,7 +183,8 @@ def _cmd_ingest(args) -> None:
 
 
 def _cmd_preprocess(args) -> None:
-    schema = Schema.parse(args.schema)
+    from . import ingestion, preprocess
+    schema = ingestion.Schema.parse(args.schema)
     with open(args.input, encoding="utf-8") as fp:
         records = ingestion.read_raw_jsonl(fp)
     if args.mapping:
@@ -194,11 +202,13 @@ def _cmd_preprocess(args) -> None:
 
 
 def _read_dataset(path):
+    from . import preprocess
     with open(path, encoding="utf-8") as fp:
         return preprocess.read_unified_jsonl(fp)
 
 
 def _cmd_stats(args) -> None:
+    from . import stats
     wants_freq = args.attribute is not None
     wants_crosstab = args.rows is not None or args.cols is not None
     wants_locations = any(v is not None for v in (args.top, args.middle, args.bottom))
@@ -228,6 +238,7 @@ def _cmd_stats(args) -> None:
 
 
 def _cmd_mine(args) -> None:
+    from . import apriori
     if (args.min_sup is None) == (args.min_count is None):
         raise UsageError("give exactly one of --min-sup or --min-count")
     dataset = _read_dataset(args.dataset)
@@ -251,6 +262,7 @@ def _cmd_mine(args) -> None:
 
 
 def _cmd_train(args) -> None:
+    from . import classify
     dataset = _read_dataset(args.dataset)
     if args.train_fraction == 1.0:
         train, test = list(dataset), []
@@ -266,6 +278,7 @@ def _cmd_train(args) -> None:
     if args.eval_report:
         if not test:
             raise UsageError("--eval-report needs --train-fraction < 1.0")
+        from . import evaluate
         report = evaluate.evaluate_split(
             train, test, args.model, alpha=args.alpha, max_leaves=args.max_leaves
         )
@@ -282,6 +295,8 @@ def _match_name(text: str, names: tuple[str, ...], what: str) -> str:
 
 
 def _cmd_predict(args) -> None:
+    from . import classify
+    from .vocab import MONTH_NAMES, WEEKDAY_NAMES, TimeBin, normalize_location
     with open(args.model, encoding="utf-8") as fp:
         model = classify.load_model(fp)
     try:
@@ -292,7 +307,7 @@ def _cmd_predict(args) -> None:
         month=_match_name(args.month, MONTH_NAMES, "month"),
         day=_match_name(args.day, WEEKDAY_NAMES, "weekday"),
         time=time_bin,
-        location=ingestion.normalize_location(args.location),
+        location=normalize_location(args.location),
     )
     if isinstance(model, classify.NaiveBayesModel):
         predicted, posterior = classify.nb_predict(model, vector)
@@ -310,6 +325,7 @@ def _cmd_predict(args) -> None:
 
 
 def _cmd_evaluate(args) -> None:
+    from . import evaluate
     dataset = _read_dataset(args.dataset)
     result = evaluate.cross_validate(
         dataset,
@@ -328,6 +344,7 @@ def _cmd_evaluate(args) -> None:
 
 
 def _cmd_demographics(args) -> None:
+    from . import demographics, ingestion
     dataset = _read_dataset(args.dataset)
     columns = (
         ingestion.DemographicsColumns.from_json_file(args.columns)

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence, TextIO
 
 from .errors import EmptyDatasetError, GroupSelectionError, UnmatchedNeighborhoodError
 from .ingestion import DemographicsRecord
-from .preprocess import UnifiedCrimeRecord
+from .vocab import UnifiedCrimeRecord
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,8 @@ from .errors import (
     LengthMismatchError,
     TooFewRecordsError,
 )
-from .preprocess import CrimeCategory, UnifiedCrimeRecord
 from .stats import round_half_up
+from .vocab import CrimeCategory, UnifiedCrimeRecord
 
 CLASS_ORDER = tuple(CrimeCategory)
 

@@ -10,9 +10,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import json
-import re
 from dataclasses import dataclass, field
-from enum import Enum
 from importlib import resources
 from typing import Iterable, Mapping, Sequence, TextIO
 
@@ -21,44 +19,7 @@ from .errors import (
     FileUnreadableError,
     MissingColumnError,
 )
-
-_WHITESPACE_RUN = re.compile(r"\s+")
-_HYPHEN_RUN = re.compile(r"-{2,}")
-
-
-def normalize_location(name: str) -> str:
-    """Lowercase a neighborhood/area name, turning whitespace runs into hyphens.
-
-    "Five Points", "five  points" and "five-points" all map to the same key.
-    """
-    collapsed = _WHITESPACE_RUN.sub("-", name.strip().lower())
-    return _HYPHEN_RUN.sub("-", collapsed)
-
-
-def normalize_category(name: str) -> str:
-    """Lowercase an offense category and collapse internal whitespace."""
-    return _WHITESPACE_RUN.sub(" ", name.strip().lower())
-
-
-class Schema(Enum):
-    """Which city layout a crime CSV follows."""
-
-    DENVER = "denver"
-    LOS_ANGELES = "la"
-
-    @classmethod
-    def parse(cls, text: str) -> "Schema":
-        key = text.strip().lower().replace("_", "-")
-        aliases = {
-            "denver": cls.DENVER,
-            "la": cls.LOS_ANGELES,
-            "los-angeles": cls.LOS_ANGELES,
-            "losangeles": cls.LOS_ANGELES,
-        }
-        if key not in aliases:
-            raise ValueError(f"unknown schema {text!r}; expected 'denver' or 'la'")
-        return aliases[key]
-
+from .vocab import Schema, normalize_category, normalize_location
 
 # Key columns per schema; everything else in the file is discarded.
 DENVER_KEY_COLUMNS = (

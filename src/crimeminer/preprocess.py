@@ -9,103 +9,18 @@ from __future__ import annotations
 
 import datetime as dt
 import json
-import re
 from dataclasses import dataclass
-from enum import Enum, IntEnum
 from importlib import resources
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, TextIO
 
-from .errors import OutOfRangeError, RejectionThresholdError, UnmappedCategoryError
-from .ingestion import RawCrimeRecord, Schema, normalize_category
-
-MONTH_NAMES = (
-    "January", "February", "March", "April", "May", "June",
-    "July", "August", "September", "October", "November", "December",
+from .errors import RejectionThresholdError, UnmappedCategoryError
+from .vocab import (  # noqa: F401 -- also re-exported for existing importers
+    MONTH_NAMES, TIME_BIN_ORDER, WEEKDAY_NAMES, CrimeCategory, Schema, TimeBin,
+    UnifiedCrimeRecord, bin_time, normalize_category,
 )
-WEEKDAY_NAMES = ("Monday", "Tuesday", "Wednesday", "Thursday", "Friday", "Saturday", "Sunday")
 
-
-class TimeBin(Enum):
-    """Four-hour slices of the day. T6 wraps midnight: 21:00 through 00:59."""
-
-    T1 = "T1"
-    T2 = "T2"
-    T3 = "T3"
-    T4 = "T4"
-    T5 = "T5"
-    T6 = "T6"
-
-    @property
-    def hours(self) -> tuple[int, ...]:
-        return _BIN_HOURS[self]
-
-
-_BIN_HOURS = {
-    TimeBin.T1: (1, 2, 3, 4),
-    TimeBin.T2: (5, 6, 7, 8),
-    TimeBin.T3: (9, 10, 11, 12),
-    TimeBin.T4: (13, 14, 15, 16),
-    TimeBin.T5: (17, 18, 19, 20),
-    TimeBin.T6: (21, 22, 23, 0),
-}
-
-TIME_BIN_ORDER = tuple(TimeBin)
-
-
-def bin_time(hour: int) -> TimeBin:
-    """Map an hour of day (0-23) to its four-hour bin; hour 0 belongs to T6."""
-    if not isinstance(hour, int) or not 0 <= hour <= 23:
-        raise OutOfRangeError(f"hour must be an integer in 0..23, got {hour!r}")
-    if hour == 0 or hour >= 21:
-        return TimeBin.T6
-    return TIME_BIN_ORDER[(hour - 1) // 4]
-
-
-class CrimeCategory(IntEnum):
-    """The six unified crime types, numbered 1-6 in canonical order."""
-
-    ASSAULT = 1
-    DRUG_ALCOHOL = 2
-    OTHER_CRIMES = 3
-    PUBLIC_DISORDER = 4
-    THEFT = 5
-    WHITE_COLLAR_CRIME = 6
-
-    @property
-    def label(self) -> str:
-        return _CATEGORY_LABELS[self]
-
-    @classmethod
-    def from_label(cls, text: str) -> "CrimeCategory":
-        key = re.sub(r"[\s_-]+", " ", text.strip().lower())
-        try:
-            return _LABEL_LOOKUP[key]
-        except KeyError:
-            raise ValueError(f"unknown crime type {text!r}") from None
-
-
-_CATEGORY_LABELS = {
-    CrimeCategory.ASSAULT: "Assault",
-    CrimeCategory.DRUG_ALCOHOL: "Drug Alcohol",
-    CrimeCategory.OTHER_CRIMES: "Other Crimes",
-    CrimeCategory.PUBLIC_DISORDER: "Public Disorder",
-    CrimeCategory.THEFT: "Theft",
-    CrimeCategory.WHITE_COLLAR_CRIME: "White Collar Crime",
-}
-_LABEL_LOOKUP = {label.lower(): category for category, label in _CATEGORY_LABELS.items()}
-
-
-@dataclass(frozen=True, slots=True)
-class UnifiedCrimeRecord:
-    """One preprocessed crime event in the unified categorical schema."""
-
-    crime_type: CrimeCategory
-    month: str
-    day: str
-    time: TimeBin
-    location: str
-    year: int
-    hour: int  # raw clock hour 0-23, kept for hour-resolution statistics
+if TYPE_CHECKING:
+    from .ingestion import RawCrimeRecord
 
 
 def derive_temporal(when: dt.datetime) -> tuple[str, str, TimeBin, int]:

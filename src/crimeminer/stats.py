@@ -14,13 +14,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from typing import Callable, Iterable, Sequence, TextIO
 
 from .errors import InsufficientLocationsError
-from .preprocess import (
-    MONTH_NAMES,
-    WEEKDAY_NAMES,
-    CrimeCategory,
-    TimeBin,
-    UnifiedCrimeRecord,
-)
+from .vocab import MONTH_NAMES, WEEKDAY_NAMES, CrimeCategory, TimeBin, UnifiedCrimeRecord
 
 CATEGORICAL_ATTRIBUTES = ("month", "day", "time", "location", "type", "hour")
 

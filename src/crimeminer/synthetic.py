@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from .preprocess import MONTH_NAMES, WEEKDAY_NAMES, CrimeCategory, TimeBin, UnifiedCrimeRecord, bin_time
+from .vocab import MONTH_NAMES, WEEKDAY_NAMES, CrimeCategory, TimeBin, UnifiedCrimeRecord, bin_time
 
 DEFAULT_SEED = 20140613
 DATASET_SIZE = 1000

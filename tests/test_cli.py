@@ -1,12 +1,18 @@
 """Command-line pipeline: wiring, exit codes, determinism, config precedence."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from crimeminer import ingestion, preprocess, vocab
 from crimeminer.cli import main
 from crimeminer.preprocess import read_unified_jsonl
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 DENVER_CSV = (
     "INCIDENT_ID,OFFENSE_CATEGORY_ID,FIRST_OCCURRENCE_DATE,NEIGHBORHOOD_ID,IS_CRIME\n"
@@ -230,6 +236,89 @@ class TestExitCodes:
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"nope": 1}\n', encoding="utf-8")
         assert main(["stats", "--dataset", str(bad), "--attribute", "day"]) == 2
+
+    @pytest.mark.parametrize("content", [None, "{not json", '{"min_supp": 0.5}', "[1]"])
+    def test_bad_config_is_usage_error(self, pipeline, capsys, content):
+        config = pipeline / "config.json"
+        if content is not None:
+            config.write_text(content, encoding="utf-8")
+        code = main(["mine", "--dataset", str(pipeline / "unified.jsonl"), "--min-sup", "0.3",
+                     "--output", str(pipeline / "p.csv"), "--config", str(config)])
+        assert code == 1
+        assert_one_line_error(capsys, "usage error: ")
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_usage_error(self, pipeline, capsys, threads):
+        code = main(["evaluate", "--dataset", str(pipeline / "unified.jsonl"), "--model", "nb",
+                     "--folds", "3", "--threads", threads, "--output", str(pipeline / "cv.json")])
+        assert code == 1
+        assert_one_line_error(capsys, "usage error: ")
+        assert not (pipeline / "cv.json").exists()
+
+    @pytest.mark.parametrize("model", [
+        "[]",
+        '{"schema": "nb-v1"}',
+        '{"schema": "dt-v1", "max_leaves": 2, "root": {"kind": "split", "feature": "colour",'
+        ' "value": "red", "gain": 1.0, "true": {}, "false": {}}}',
+    ])
+    def test_malformed_model_is_data_error(self, tmp_path, capsys, model):
+        path = tmp_path / "model.json"
+        path.write_text(model, encoding="utf-8")
+        code = main(["predict", "--model", str(path), "--month", "June", "--day", "Friday",
+                     "--time", "T6", "--location", "cbd"])
+        assert code == 2
+        assert_one_line_error(capsys, "error: ")
+
+
+def assert_one_line_error(capsys, prefix: str) -> None:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
+def modules_after(argv: list[str]) -> set[str]:
+    """Module names in ``sys.modules`` after one ``main(argv)`` in a fresh interpreter."""
+    script = (
+        "import json, sys\n"
+        "from crimeminer.cli import main\n"
+        "try:\n    code = main(json.loads(sys.argv[1]))\nexcept SystemExit as exc:\n    code = exc.code\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(argv)], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    code, modules = json.loads(done.stdout.splitlines()[-1])
+    assert code in (0, None), done.stderr
+    return set(modules)
+
+
+class TestImports:
+    """Each call loads only the modules of its own stage (which modules, not how fast)."""
+
+    def test_predict_loads_no_other_stage(self, pipeline):
+        model = pipeline / "nb.json"
+        assert main(["train", "--dataset", str(pipeline / "unified.jsonl"), "--model", "nb",
+                     "--output", str(model)]) == 0
+        loaded = modules_after(["predict", "--model", str(model), "--month", "June",
+                                "--day", "Friday", "--time", "T6", "--location", "cbd",
+                                "--output", str(pipeline / "p.json")])
+        assert {"crimeminer.classify", "crimeminer.vocab"} <= loaded
+        unwanted = {f"crimeminer.{name}" for name in
+                    ("ingestion", "preprocess", "apriori", "stats", "evaluate", "demographics")}
+        assert not loaded & (unwanted | {"concurrent.futures"})
+
+    def test_help_loads_no_stage_module(self):
+        loaded = modules_after(["--help"])
+        assert {m for m in loaded if m.startswith("crimeminer.")} == {
+            "crimeminer.cli", "crimeminer.errors"}
+
+    def test_moved_names_are_reexported_unchanged(self):
+        for name in ("MONTH_NAMES", "WEEKDAY_NAMES", "TimeBin", "TIME_BIN_ORDER", "bin_time",
+                     "CrimeCategory", "UnifiedCrimeRecord"):
+            assert getattr(preprocess, name) is getattr(vocab, name)
+        for name in ("Schema", "normalize_location", "normalize_category"):
+            assert getattr(ingestion, name) is getattr(vocab, name)
 
 
 class TestDeterminism:
