@@ -8,9 +8,7 @@ per level through a hash lookup. An itemset is frequent when
 
 Hotspot mining builds one transaction per crime record with three tagged
 items -- (location, L), (day, D), (time, T) -- and reports the size-3
-itemsets that pick exactly one value per tag. Because the tagged vocabulary
-is tiny compared to the record count, transactions are deduplicated and
-counted with multiplicities; the result is identical to the plain pass.
+itemsets that pick exactly one value per tag.
 """
 
 from __future__ import annotations
@@ -159,14 +157,13 @@ def mine_frequent(
     *,
     item_key: ItemKey | None = None,
     max_size: int | None = None,
-    dedup: bool = False,
     threads: int = 1,
 ) -> MiningRun:
     """Find all itemsets of every size with support at least ``min_sup``.
 
-    ``dedup`` collapses identical transactions into multiplicity counts (a
-    large win when the item vocabulary is much smaller than the transaction
-    list); the output is identical either way.
+    Identical transactions are always collapsed into one with a multiplicity
+    count, so each distinct transaction is scanned once per level (a large win
+    when the item vocabulary is much smaller than the transaction list).
     """
     if not transactions:
         raise EmptyTransactionListError("cannot mine zero transactions")
@@ -175,11 +172,7 @@ def mine_frequent(
     key = item_key if item_key is not None else lambda item: item
     n = len(transactions)
 
-    as_sets = [frozenset(t) for t in transactions]
-    if dedup:
-        weighted = list(Counter(as_sets).items())
-    else:
-        weighted = [(t, 1) for t in as_sets]
+    weighted = list(Counter(frozenset(t) for t in transactions).items())
 
     item_counts: Counter = Counter()
     for transaction, multiplicity in weighted:
@@ -225,7 +218,6 @@ def mine_hotspot_patterns(
     min_sup: float,
     *,
     threads: int = 1,
-    dedup: bool = True,
 ) -> MiningRun:
     """Mine (location, day, time) triples with support at least ``min_sup``.
 
@@ -239,7 +231,6 @@ def mine_hotspot_patterns(
         min_sup,
         item_key=hotspot_item_key,
         max_size=3,
-        dedup=dedup,
         threads=threads,
     )
     patterns: list[FrequentPattern] = []

@@ -22,7 +22,8 @@ from typing import Hashable, Mapping, Sequence, TextIO, Union
 
 from .errors import AllZeroCountsError, DatasetTooSmallError, EmptyTrainingSetError
 from .vocab import (
-    MONTH_RANK, WEEKDAY_RANK, CrimeCategory, TimeBin, UnifiedCrimeRecord, value_order_key,
+    ATTRIBUTES, MONTH_RANK, WEEKDAY_RANK, CrimeCategory, TimeBin, UnifiedCrimeRecord,
+    value_order_key,
 )
 
 FEATURES = ("month", "day", "time", "location")
@@ -54,20 +55,14 @@ class FeatureVector:
         if not self.location:
             raise ValueError("location must be non-empty")
 
-    def value(self, feature: str) -> str:
-        if feature == "time":
-            return self.time.value
-        return getattr(self, feature)
+
+# What the predictors read: a query vector (checked when built) or a unified
+# record (checked when read from JSONL).
+Features = Union[FeatureVector, UnifiedCrimeRecord]
 
 
-def feature_of(record: UnifiedCrimeRecord, feature: str) -> str:
-    if feature == "time":
-        return record.time.value
-    return getattr(record, feature)
-
-
-def vector_from_record(record: UnifiedCrimeRecord) -> FeatureVector:
-    return FeatureVector(record.month, record.day, record.time, record.location)
+def feature_of(x: Features, feature: str) -> str:
+    return ATTRIBUTES[feature].read(x)
 
 
 # --- train/test splitting ----------------------------------------------------
@@ -141,12 +136,10 @@ def nb_train(train: Sequence[UnifiedCrimeRecord], alpha: float = 1.0) -> NaiveBa
     cond_log: dict[str, dict[CrimeCategory, dict[str, float]]] = {}
     unseen_log: dict[str, dict[CrimeCategory, float]] = {}
     for feature in FEATURES:
-        values = sorted(
-            {feature_of(r, feature) for r in train},
-            key=lambda v: value_order_key(feature, v),
-        )
+        read = ATTRIBUTES[feature].read
+        values = sorted({read(r) for r in train}, key=lambda v: value_order_key(feature, v))
         vocab[feature] = tuple(values)
-        joint = Counter((feature_of(r, feature), r.crime_type) for r in train)
+        joint = Counter((read(r), r.crime_type) for r in train)
         per_class: dict[CrimeCategory, dict[str, float]] = {}
         per_class_unseen: dict[CrimeCategory, float] = {}
         for c in CLASSES:
@@ -173,13 +166,13 @@ def nb_train(train: Sequence[UnifiedCrimeRecord], alpha: float = 1.0) -> NaiveBa
     )
 
 
-def nb_class_scores(model: NaiveBayesModel, x: FeatureVector) -> dict[CrimeCategory, float]:
+def nb_class_scores(model: NaiveBayesModel, x: Features) -> dict[CrimeCategory, float]:
     """Unnormalized log-posterior score per class."""
+    values = [(feature, feature_of(x, feature)) for feature in FEATURES]
     scores: dict[CrimeCategory, float] = {}
     for c in model.classes:
         score = model.log_prior[c]
-        for feature in FEATURES:
-            value = x.value(feature)
+        for feature, value in values:
             score += model.cond_log[feature][c].get(value, model.unseen_log[feature][c])
         scores[c] = score
     return scores
@@ -197,7 +190,7 @@ def _posterior_from_scores(scores: Mapping[CrimeCategory, float]) -> dict[CrimeC
 
 
 def nb_predict(
-    model: NaiveBayesModel, x: FeatureVector
+    model: NaiveBayesModel, x: Features
 ) -> tuple[CrimeCategory, dict[CrimeCategory, float]]:
     """Most probable class (ties break to the lowest class id) and the posterior."""
     scores = nb_class_scores(model, x)
@@ -248,32 +241,25 @@ class DecisionTree:
     root: TreeSplit | TreeLeaf
     max_leaves: int
 
-    def leaves(self) -> list[TreeLeaf]:
-        found: list[TreeLeaf] = []
+    def _nodes(self):
+        """Every node in pre-order, true branch first."""
         stack = [self.root]
         while stack:
             node = stack.pop()
-            if isinstance(node, TreeLeaf):
-                found.append(node)
-            else:
+            yield node
+            if isinstance(node, TreeSplit):
                 stack.append(node.if_false)
                 stack.append(node.if_true)
-        return found
+
+    def leaves(self) -> list[TreeLeaf]:
+        return [node for node in self._nodes() if isinstance(node, TreeLeaf)]
 
     @property
     def leaf_count(self) -> int:
         return len(self.leaves())
 
     def splits(self) -> list[TreeSplit]:
-        found: list[TreeSplit] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, TreeSplit):
-                found.append(node)
-                stack.append(node.if_false)
-                stack.append(node.if_true)
-        return found
+        return [node for node in self._nodes() if isinstance(node, TreeSplit)]
 
 
 def _majority(counts: Mapping[CrimeCategory, int]) -> CrimeCategory:
@@ -307,9 +293,10 @@ def _best_split(records, counts, path):
     total = len(records)
     best = None
     for feature in FEATURES:
+        read = ATTRIBUTES[feature].read
         by_value: dict[str, Counter] = {}
         for r in records:
-            by_value.setdefault(feature_of(r, feature), Counter())[r.crime_type] += 1
+            by_value.setdefault(read(r), Counter())[r.crime_type] += 1
         for value in sorted(by_value, key=lambda v: value_order_key(feature, v)):
             if (feature, value) in path:
                 continue
@@ -345,8 +332,9 @@ def dt_train(train: Sequence[UnifiedCrimeRecord], max_leaves: int = 10) -> Decis
             break
         node = max(splittable, key=lambda g: (g.best[0], -g.creation))
         gain, feature, value = node.best
-        true_records = [r for r in node.records if feature_of(r, feature) == value]
-        false_records = [r for r in node.records if feature_of(r, feature) != value]
+        read = ATTRIBUTES[feature].read
+        true_records = [r for r in node.records if read(r) == value]
+        false_records = [r for r in node.records if read(r) != value]
         path = node.path | {(feature, value)}
         true_child = _GrowNode(true_records, path, creation + 1)
         false_child = _GrowNode(false_records, path, creation + 2)
@@ -365,12 +353,12 @@ def dt_train(train: Sequence[UnifiedCrimeRecord], max_leaves: int = 10) -> Decis
     return DecisionTree(root=materialize(root), max_leaves=max_leaves)
 
 
-def dt_predict(tree: DecisionTree, x: FeatureVector) -> CrimeCategory:
+def dt_predict(tree: DecisionTree, x: Features) -> CrimeCategory:
     """Route by equality predicates; unseen values fail every test and fall
     through to a valid leaf."""
     node = tree.root
     while isinstance(node, TreeSplit):
-        node = node.if_true if x.value(node.feature) == node.value else node.if_false
+        node = node.if_true if feature_of(x, node.feature) == node.value else node.if_false
     return node.majority
 
 

@@ -86,7 +86,7 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     sub.add_argument("--min-count", type=int,
                      help="minimum absolute count (converted by dividing by the dataset size)")
     sub.add_argument("--summary", help="run summary JSON path (default: alongside the pattern CSV)")
-    sub.set_defaults(handler=_cmd_mine, output_default="patterns.csv")
+    sub.set_defaults(handler=_cmd_mine, output="patterns.csv")
 
     sub = command("train", "train a crime-type classifier on a seeded split")
     sub.add_argument("--dataset", required=True, help="unified dataset JSONL path")
@@ -96,7 +96,7 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     sub.add_argument("--train-fraction", type=float, default=0.8,
                      help="training share of the seeded split; 1.0 trains on everything")
     sub.add_argument("--eval-report", help="evaluate on the held-out split and write the report JSON here")
-    sub.set_defaults(handler=_cmd_train, output_default="model.json")
+    sub.set_defaults(handler=_cmd_train, output="model.json")
 
     sub = command("predict", "predict a crime type for one feature vector")
     sub.add_argument("--model", required=True, help="model JSON path")
@@ -129,6 +129,27 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     return parser, commands
 
 
+def _config_default(action: argparse.Action, value, config: str):
+    """A config value as its flag would store it; a value the flag would
+    reject is a usage error."""
+    if action.nargs == 0:  # on/off switch
+        ok = isinstance(value, bool)
+    elif isinstance(action, argparse._AppendAction):  # repeatable flag
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+    else:  # a scalar, read as if it were typed on the command line
+        ok = isinstance(value, (str, int, float)) and not isinstance(value, bool)
+        if ok:
+            try:
+                value = (action.type or str)(str(value))
+            except ValueError:
+                ok = False
+        ok = ok and (action.choices is None or value in action.choices)
+    if not ok:
+        flag = action.option_strings[0]
+        raise UsageError(f"config {config}: {flag} cannot take {json.dumps(value)}")
+    return value
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
     parser, commands = build_parser()
     args = parser.parse_args(argv)
@@ -136,35 +157,30 @@ def _parse(argv: list[str]) -> argparse.Namespace:
         try:
             with open(args.config, encoding="utf-8") as fp:
                 overrides = json.load(fp)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise UsageError(f"cannot load config {args.config}: {exc}") from None
         if not isinstance(overrides, dict):
             raise UsageError(f"config {args.config} must hold a JSON object")
         sub = commands[args.command]
-        flags = {a.dest for a in sub._actions if a.option_strings} - {"help", "config"}
-        unknown = ", ".join(sorted(set(overrides) - flags))
+        flags = {a.dest: a for a in sub._actions if a.option_strings and a.dest not in ("help", "config")}
+        unknown = ", ".join(sorted(set(overrides) - set(flags)))
         if unknown:
             raise UsageError(f"config {args.config}: {args.command} has no flag for {unknown}")
-        sub.set_defaults(**overrides)
+        sub.set_defaults(**{k: _config_default(flags[k], v, args.config) for k, v in overrides.items()})
         args = parser.parse_args(argv)  # explicit flags still win over config
-    if not isinstance(args.threads, int) or args.threads < 1:
+    if args.threads < 1:
         raise UsageError(f"--threads must be an integer >= 1, got {args.threads!r}")
     return args
 
 
 @contextlib.contextmanager
 def _open_output(path: str | None):
+    """The one way to open an output: ``-`` (or no path) means stdout."""
     if path in (None, "-"):
         yield sys.stdout
     else:
         with open(path, "w", encoding="utf-8", newline="") as fp:
             yield fp
-
-
-def _resolved_output(args) -> str | None:
-    if args.output:
-        return args.output
-    return getattr(args, "output_default", None)
 
 
 # --- handlers -----------------------------------------------------------------
@@ -178,7 +194,7 @@ def _cmd_ingest(args) -> None:
     with _open_output(args.output) as fp:
         ingestion.write_raw_jsonl(records, fp)
     if args.report:
-        with open(args.report, "w", encoding="utf-8", newline="") as fp:
+        with _open_output(args.report) as fp:
             report.write_json(fp)
 
 
@@ -197,7 +213,7 @@ def _cmd_preprocess(args) -> None:
     with _open_output(args.output) as fp:
         preprocess.write_unified_jsonl(unified, fp)
     if args.report:
-        with open(args.report, "w", encoding="utf-8", newline="") as fp:
+        with _open_output(args.report) as fp:
             report.write_json(fp)
 
 
@@ -241,6 +257,10 @@ def _cmd_mine(args) -> None:
     from . import apriori
     if (args.min_sup is None) == (args.min_count is None):
         raise UsageError("give exactly one of --min-sup or --min-count")
+    if args.min_count is not None and args.min_count < 1:
+        raise UsageError(f"--min-count must be at least 1, got {args.min_count}")
+    if args.min_sup is not None and not 0 < args.min_sup <= 1:
+        raise UsageError(f"--min-sup must be in (0, 1], got {args.min_sup}")
     dataset = _read_dataset(args.dataset)
     if args.min_count is not None:
         if not dataset:
@@ -249,14 +269,13 @@ def _cmd_mine(args) -> None:
     else:
         min_sup = args.min_sup
     run = apriori.mine_hotspot_patterns(dataset, min_sup, threads=args.threads)
-    output = _resolved_output(args)
-    with _open_output(output) as fp:
+    with _open_output(args.output) as fp:
         apriori.write_patterns_csv(run, fp)
     summary_path = args.summary
-    if summary_path is None and output not in (None, "-"):
-        summary_path = str(Path(output).with_suffix(".summary.json"))
+    if summary_path is None and args.output != "-":
+        summary_path = str(Path(args.output).with_suffix(".summary.json"))
     if summary_path:
-        with open(summary_path, "w", encoding="utf-8", newline="") as fp:
+        with _open_output(summary_path) as fp:
             json.dump(apriori.run_summary_dict(run), fp, indent=2, sort_keys=True)
             fp.write("\n")
 
@@ -273,7 +292,7 @@ def _cmd_train(args) -> None:
         model = classify.nb_train(train, alpha=args.alpha)
     else:
         model = classify.dt_train(train, max_leaves=args.max_leaves)
-    with _open_output(_resolved_output(args)) as fp:
+    with _open_output(args.output) as fp:
         classify.save_model(model, fp)
     if args.eval_report:
         if not test:
@@ -282,7 +301,7 @@ def _cmd_train(args) -> None:
         report = evaluate.evaluate_split(
             train, test, args.model, alpha=args.alpha, max_leaves=args.max_leaves
         )
-        with open(args.eval_report, "w", encoding="utf-8", newline="") as fp:
+        with _open_output(args.eval_report) as fp:
             evaluate.write_report_json(report, fp)
 
 
@@ -339,7 +358,7 @@ def _cmd_evaluate(args) -> None:
     with _open_output(args.output) as fp:
         evaluate.write_cv_result_json(result, fp)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fp:
+        with _open_output(args.csv) as fp:
             evaluate.write_report_csv(result.report, fp)
 
 
@@ -359,7 +378,7 @@ def _cmd_demographics(args) -> None:
     with _open_output(args.output) as fp:
         demographics.write_comparison_csv(comparison, fp)
     if args.json:
-        with open(args.json, "w", encoding="utf-8", newline="") as fp:
+        with _open_output(args.json) as fp:
             demographics.write_comparison_json(comparison, fp)
 
 
@@ -375,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CrimeMinerError, OSError, ValueError) as exc:
+    except (CrimeMinerError, OSError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     return EXIT_OK

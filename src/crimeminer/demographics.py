@@ -38,18 +38,6 @@ def crime_rate_by_location(dataset: Sequence[UnifiedCrimeRecord]) -> list[Neighb
     ]
 
 
-_BASE_METRICS = (
-    "population",
-    "male",
-    "female",
-    "housing_units_total",
-    "occupied_units",
-    "vacant_units",
-    "owned_units",
-    "rented_units",
-)
-
-
 def _metric_row(record: DemographicsRecord) -> dict[str, int]:
     row = {
         "population": record.population_total,
@@ -120,13 +108,8 @@ def compare_groups(
     dangerous = tuple(r.neighborhood for r in ordered[:top_k])
     safe = tuple(r.neighborhood for r in reversed(ordered[len(ordered) - bottom_k :]))
 
-    selected = {name: resolve(name) for name in (*dangerous, *safe)}
-    metric_names: list[str] = list(_BASE_METRICS)
-    sample = next(iter(selected.values()))
-    metric_names.extend(f"age_{label}" for label in sample.age_brackets)
-    metric_names.extend(sample.extras)
-
-    metrics = {name: _metric_row(record) for name, record in selected.items()}
+    metrics = {name: _metric_row(resolve(name)) for name in (*dangerous, *safe)}
+    metric_names = list(next(iter(metrics.values())))
     group_sums: dict[str, dict[str, int]] = {}
     group_means: dict[str, dict[str, float]] = {}
     for group_name, members in (("dangerous", dangerous), ("safe", safe)):

@@ -9,13 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence, TextIO
 
-from .classify import (
-    dt_predict,
-    dt_train,
-    nb_predict,
-    nb_train,
-    vector_from_record,
-)
+from .classify import CLASSES, dt_predict, dt_train, nb_predict, nb_train
 from .errors import (
     EmptyInputError,
     EmptyMatrixError,
@@ -25,15 +19,13 @@ from .errors import (
 from .stats import round_half_up
 from .vocab import CrimeCategory, UnifiedCrimeRecord
 
-CLASS_ORDER = tuple(CrimeCategory)
-
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
     """cells[actual][predicted] over the fixed six-class canonical order."""
 
     cells: tuple[tuple[int, ...], ...]
-    classes: tuple[CrimeCategory, ...] = CLASS_ORDER
+    classes: tuple[CrimeCategory, ...] = CLASSES
 
     @classmethod
     def from_pairs(
@@ -47,7 +39,7 @@ class ConfusionMatrix:
             )
         if not actual:
             raise EmptyInputError("cannot build a confusion matrix from zero pairs")
-        counts = [[0] * len(CLASS_ORDER) for _ in CLASS_ORDER]
+        counts = [[0] * len(CLASSES) for _ in CLASSES]
         for a, p in zip(actual, predicted):
             counts[int(a) - 1][int(p) - 1] += 1
         return cls(cells=tuple(tuple(row) for row in counts))
@@ -137,10 +129,10 @@ def evaluate_split(
 def _fit_predict(train, test, model_kind, alpha, max_leaves):
     if model_kind == "nb":
         model = nb_train(train, alpha=alpha)
-        predicted = [nb_predict(model, vector_from_record(r))[0] for r in test]
+        predicted = [nb_predict(model, r)[0] for r in test]
     elif model_kind == "dt":
         tree = dt_train(train, max_leaves=max_leaves)
-        predicted = [dt_predict(tree, vector_from_record(r)) for r in test]
+        predicted = [dt_predict(tree, r) for r in test]
     else:
         raise ValueError(f"model_kind must be 'nb' or 'dt', got {model_kind!r}")
     return [r.crime_type for r in test], predicted
@@ -271,24 +263,7 @@ def write_report_csv(report: EvaluationReport, fp: TextIO) -> None:
     """Two-decimal metrics table, one row per class plus the weighted average."""
     writer = csv.writer(fp, lineterminator="\n")
     writer.writerow(["class", "precision", "recall", "f1", "support"])
-    for c in report.matrix.classes:
-        m = report.per_class[c]
-        writer.writerow(
-            [
-                c.label,
-                round_half_up(m.precision, 2),
-                round_half_up(m.recall, 2),
-                round_half_up(m.f1, 2),
-                m.support,
-            ]
-        )
-    w = report.weighted
-    writer.writerow(
-        [
-            "Weighted Avg",
-            round_half_up(w.precision, 2),
-            round_half_up(w.recall, 2),
-            round_half_up(w.f1, 2),
-            w.support,
-        ]
-    )
+    rows = [(c.label, report.per_class[c]) for c in report.matrix.classes]
+    for name, m in rows + [("Weighted Avg", report.weighted)]:
+        display = (round_half_up(x, 2) for x in (m.precision, m.recall, m.f1))
+        writer.writerow([name, *display, m.support])

@@ -11,30 +11,12 @@ import csv
 from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 from .errors import InsufficientLocationsError
-from .vocab import MONTH_NAMES, WEEKDAY_NAMES, CrimeCategory, TimeBin, UnifiedCrimeRecord
+from .vocab import ATTRIBUTES, UnifiedCrimeRecord
 
-CATEGORICAL_ATTRIBUTES = ("month", "day", "time", "location", "type", "hour")
-
-_EXTRACTORS: dict[str, Callable[[UnifiedCrimeRecord], str]] = {
-    "month": lambda r: r.month,
-    "day": lambda r: r.day,
-    "time": lambda r: r.time.value,
-    "location": lambda r: r.location,
-    "type": lambda r: r.crime_type.label,
-    "hour": lambda r: str(r.hour),
-}
-
-# Canonical row orders; locations instead rank by descending count.
-_FIXED_ORDERS: dict[str, tuple[str, ...]] = {
-    "month": MONTH_NAMES,
-    "day": WEEKDAY_NAMES,
-    "time": tuple(b.value for b in TimeBin),
-    "type": tuple(c.label for c in CrimeCategory),
-    "hour": tuple(str(h) for h in range(24)),
-}
+CATEGORICAL_ATTRIBUTES = tuple(ATTRIBUTES)
 
 
 @dataclass(frozen=True)
@@ -95,7 +77,7 @@ def _year_filtered(dataset: Iterable[UnifiedCrimeRecord], year: int | None) -> l
 
 
 def _ordered_values(attribute: str, counts: Counter) -> list[str]:
-    order = _FIXED_ORDERS.get(attribute)
+    order = ATTRIBUTES[attribute].order
     if order is not None:
         return [v for v in order if v in counts]
     return sorted(counts, key=lambda v: (-counts[v], v))
@@ -112,7 +94,7 @@ def frequency_table(
     total = len(records)
     if total == 0:
         return FrequencyTable(attribute, (), 0, year_filter)
-    extract = _EXTRACTORS[attribute]
+    extract = ATTRIBUTES[attribute].read
     counts = Counter(extract(r) for r in records)
     rows = tuple(
         FrequencyRow(v, counts[v], 100.0 * counts[v] / total)
@@ -133,8 +115,8 @@ def crosstab(
     if row_attribute == col_attribute:
         raise ValueError("row and column attributes must differ")
     records = _year_filtered(dataset, year_filter)
-    extract_row = _EXTRACTORS[row_attribute]
-    extract_col = _EXTRACTORS[col_attribute]
+    extract_row = ATTRIBUTES[row_attribute].read
+    extract_col = ATTRIBUTES[col_attribute].read
     pair_counts: Counter = Counter()
     row_counts: Counter = Counter()
     col_counts: Counter = Counter()

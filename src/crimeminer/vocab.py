@@ -9,6 +9,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from operator import attrgetter
+from typing import Callable
 
 from .errors import OutOfRangeError
 
@@ -83,18 +85,6 @@ _BIN_HOURS = {
 
 TIME_BIN_ORDER = tuple(TimeBin)
 
-# Position of each canonical value in its order, for tie-breaks and sorting.
-MONTH_RANK = {name: i for i, name in enumerate(MONTH_NAMES)}
-WEEKDAY_RANK = {name: i for i, name in enumerate(WEEKDAY_NAMES)}
-TIME_RANK = {b.value: i for i, b in enumerate(TIME_BIN_ORDER)}
-_RANKS = {"month": MONTH_RANK, "day": WEEKDAY_RANK, "time": TIME_RANK}
-
-
-def value_order_key(attribute: str, value: str):
-    """Canonical within-attribute value order used for all tie-breaks."""
-    ranks = _RANKS.get(attribute)
-    return value if ranks is None else ranks[value]
-
 
 def bin_time(hour: int) -> TimeBin:
     """Map an hour of day (0-23) to its four-hour bin; hour 0 belongs to T6."""
@@ -150,3 +140,36 @@ class UnifiedCrimeRecord:
     location: str
     year: int
     hour: int  # raw clock hour 0-23, kept for hour-resolution statistics
+
+
+@dataclass(frozen=True)
+class Attribute:
+    """How a categorical attribute reads as text and, for a closed vocabulary,
+    the canonical order of its values (None for locations, an open one)."""
+
+    read: Callable[[object], str]
+    order: tuple[str, ...] | None = None
+
+
+# Every categorical attribute of a record, in reporting order. The readers of
+# the four model features also accept a ``classify.FeatureVector``.
+ATTRIBUTES = {
+    "month": Attribute(attrgetter("month"), MONTH_NAMES),
+    "day": Attribute(attrgetter("day"), WEEKDAY_NAMES),
+    "time": Attribute(attrgetter("time.value"), tuple(b.value for b in TIME_BIN_ORDER)),
+    "location": Attribute(attrgetter("location")),
+    "type": Attribute(attrgetter("crime_type.label"), tuple(c.label for c in CrimeCategory)),
+    "hour": Attribute(lambda r: str(r.hour), tuple(str(h) for h in range(24))),
+}
+
+# Position of each canonical value in its order, for tie-breaks and sorting.
+_RANKS = {name: {v: i for i, v in enumerate(a.order)} for name, a in ATTRIBUTES.items() if a.order}
+MONTH_RANK = _RANKS["month"]
+WEEKDAY_RANK = _RANKS["day"]
+TIME_RANK = _RANKS["time"]
+
+
+def value_order_key(attribute: str, value: str):
+    """Canonical within-attribute value order used for all tie-breaks."""
+    ranks = _RANKS.get(attribute)
+    return value if ranks is None else ranks[value]

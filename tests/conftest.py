@@ -94,7 +94,7 @@ def brute_force_posterior(train, x: FeatureVector, alpha: float) -> dict[CrimeCa
         probability = len(members) / n
         for f in FEATURES:
             denominator = len(members) + alpha * (len(vocab[f]) + 1)
-            value = x.value(f)
+            value = feature_of(x, f)
             if value in vocab[f]:
                 numerator = sum(1 for r in members if feature_of(r, f) == value) + alpha
             else:

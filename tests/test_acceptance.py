@@ -19,7 +19,7 @@ import pytest
 from conftest import brute_force_posterior, exhaustive_frequent, make_record
 from crimeminer import synthetic
 from crimeminer.apriori import mine_frequent, mine_hotspot_patterns
-from crimeminer.classify import dt_train, entropy, nb_predict, nb_train, vector_from_record
+from crimeminer.classify import dt_train, entropy, nb_predict, nb_train
 from crimeminer.cli import main
 from crimeminer.evaluate import ConfusionMatrix, classification_report, cross_validate
 from crimeminer.preprocess import (
@@ -146,7 +146,7 @@ def test_criterion_4_nb_oracle_equivalence():
                 hour=rng.randrange(24),
                 location=rng.choice(locations + ("unseen-place",)),
             )
-            x = vector_from_record(query)
+            x = query
             _, posterior = nb_predict(model, x)
             expected = brute_force_posterior(train, x, alpha)
             assert abs(sum(posterior.values()) - 1.0) <= 1e-9

@@ -102,15 +102,6 @@ class TestOracleEquivalence:
                 for itemset, stat in level.items():
                     assert stat.count == expected[itemset]
 
-    def test_dedup_path_is_output_identical(self):
-        rng = random.Random(11)
-        for _ in range(40):
-            transactions = random_transactions(rng)
-            min_sup = rng.choice([0.2, 0.5, 0.8])
-            plain = mine_frequent(transactions, min_sup, dedup=False)
-            packed = mine_frequent(transactions, min_sup, dedup=True)
-            assert plain.itemsets == packed.itemsets
-
     def test_threaded_counting_is_output_identical(self):
         rng = random.Random(13)
         for _ in range(20):

@@ -25,7 +25,6 @@ from crimeminer.classify import (
     nb_train,
     save_model,
     split_train_test,
-    vector_from_record,
 )
 from crimeminer.errors import (
     AllZeroCountsError,
@@ -164,7 +163,7 @@ class TestNaiveBayesPrediction:
     @given(st.lists(unified_records(), min_size=1, max_size=20), unified_records(), st.sampled_from([0.1, 0.5, 1.0, 2.0]))
     def test_matches_brute_force_bayes(self, train, query_record, alpha):
         model = nb_train(train, alpha=alpha)
-        x = vector_from_record(query_record)
+        x = query_record
         predicted, posterior = nb_predict(model, x)
         expected = brute_force_posterior(train, x, alpha)
         assert sum(posterior.values()) == pytest.approx(1.0, abs=1e-9)
@@ -347,7 +346,7 @@ class TestModelSerialization:
         restored = load_model(io.StringIO(buffer.getvalue()))
         assert isinstance(restored, DecisionTree)
         for record in rule_dataset():
-            x = vector_from_record(record)
+            x = record
             assert dt_predict(restored, x) is dt_predict(tree, x)
 
     def test_identical_training_gives_byte_identical_models(self):

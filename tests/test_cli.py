@@ -237,7 +237,11 @@ class TestExitCodes:
         bad.write_text('{"nope": 1}\n', encoding="utf-8")
         assert main(["stats", "--dataset", str(bad), "--attribute", "day"]) == 2
 
-    @pytest.mark.parametrize("content", [None, "{not json", '{"min_supp": 0.5}', "[1]"])
+    @pytest.mark.parametrize("content", [
+        None, "{not json", '{"min_supp": 0.5}', "[1]",
+        '{"min_sup": null}', '{"seed": [1]}', '{"seed": {}}', '{"min_sup": "often"}',
+        '{"seed": 2.5}', '{"threads": true}', pytest.param("[" * 5000, id="deeply-nested"),
+    ])
     def test_bad_config_is_usage_error(self, pipeline, capsys, content):
         config = pipeline / "config.json"
         if content is not None:
@@ -246,6 +250,50 @@ class TestExitCodes:
                      "--output", str(pipeline / "p.csv"), "--config", str(config)])
         assert code == 1
         assert_one_line_error(capsys, "usage error: ")
+        assert not (pipeline / "p.csv").exists()
+
+    @pytest.mark.parametrize("argv, content", [
+        (["evaluate", "--dataset", "unified.jsonl", "--model", "nb"], '{"folds": null}'),
+        (["train", "--dataset", "unified.jsonl", "--model", "nb"], '{"seed": [1]}'),
+        (["train", "--dataset", "unified.jsonl", "--model", "nb"], '{"alpha": "much"}'),
+        (["train", "--dataset", "unified.jsonl", "--model", "nb"], '{"model": "svm"}'),
+        (["ingest", "--schema", "denver", "--input", "denver.csv"], '{"no_filter": "yes"}'),
+        (["ingest", "--schema", "denver", "--input", "denver.csv"], '{"exclude": "theft"}'),
+        (["ingest", "--schema", "denver", "--input", "denver.csv"], '{"exclude": [1]}'),
+        (["demographics", "--dataset", "unified.jsonl", "--demographics", "demo.csv"],
+         '{"per_capita": 1}'),
+    ])
+    def test_mistyped_config_value_is_usage_error(self, pipeline, capsys, monkeypatch, argv, content):
+        monkeypatch.chdir(pipeline)
+        (pipeline / "config.json").write_text(content, encoding="utf-8")
+        code = main(argv + ["--output", "out", "--config", "config.json"])
+        assert code == 1
+        assert_one_line_error(capsys, "usage error: ")
+        assert not (pipeline / "out").exists()
+
+    @pytest.mark.parametrize("threshold", [
+        ["--min-count", "0"], ["--min-count", "-2"],
+        ["--min-sup", "0"], ["--min-sup", "-0.1"], ["--min-sup", "1.5"], ["--min-sup", "nan"],
+    ])
+    def test_bad_threshold_is_usage_error(self, pipeline, capsys, threshold):
+        code = main(["mine", "--dataset", str(pipeline / "unified.jsonl"),
+                     "--output", str(pipeline / "p.csv"), *threshold])
+        assert code == 1
+        assert_one_line_error(capsys, "usage error: ")
+        assert not (pipeline / "p.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["stats", "--attribute", "day", "--dataset", "deep.json"],
+        ["preprocess", "--schema", "denver", "--input", "deep.json"],
+        ["preprocess", "--schema", "denver", "--input", "raw.jsonl", "--mapping", "deep.json"],
+        ["demographics", "--dataset", "unified.jsonl", "--demographics", "demo.csv",
+         "--columns", "deep.json"],
+    ])
+    def test_deeply_nested_json_is_data_error(self, pipeline, capsys, monkeypatch, argv):
+        monkeypatch.chdir(pipeline)
+        (pipeline / "deep.json").write_text("[" * 5000 + "\n", encoding="utf-8")
+        assert main(argv + ["--output", "out"]) == 2
+        assert_one_line_error(capsys, "error: ")
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_is_usage_error(self, pipeline, capsys, threads):
@@ -260,6 +308,7 @@ class TestExitCodes:
         '{"schema": "nb-v1"}',
         '{"schema": "dt-v1", "max_leaves": 2, "root": {"kind": "split", "feature": "colour",'
         ' "value": "red", "gain": 1.0, "true": {}, "false": {}}}',
+        pytest.param("[" * 5000, id="deeply-nested"),
     ])
     def test_malformed_model_is_data_error(self, tmp_path, capsys, model):
         path = tmp_path / "model.json"
@@ -268,6 +317,28 @@ class TestExitCodes:
                      "--time", "T6", "--location", "cbd"])
         assert code == 2
         assert_one_line_error(capsys, "error: ")
+
+
+class TestDashMeansStdout:
+    @pytest.mark.parametrize("argv, expected", [
+        (["ingest", "--schema", "denver", "--input", "denver.csv", "--output", "raw2.jsonl",
+          "--report", "-"], '"rows_read": 10'),
+        (["preprocess", "--schema", "denver", "--input", "raw.jsonl", "--output", "u2.jsonl",
+          "--report", "-"], '"rows_in"'),
+        (["mine", "--dataset", "unified.jsonl", "--min-sup", "0.2", "--output", "p.csv",
+          "--summary", "-"], '"pattern_count"'),
+        (["train", "--dataset", "unified.jsonl", "--model", "nb", "--output", "m.json",
+          "--eval-report", "-"], '"accuracy"'),
+        (["evaluate", "--dataset", "unified.jsonl", "--model", "nb", "--folds", "3",
+          "--output", "cv.json", "--csv", "-"], "class,precision,recall,f1,support\n"),
+        (["demographics", "--dataset", "unified.jsonl", "--demographics", "demo.csv",
+          "--top", "1", "--bottom", "1", "--output", "g.csv", "--json", "-"], '"dangerous"'),
+    ])
+    def test_side_output_dash_writes_stdout(self, pipeline, capsys, monkeypatch, argv, expected):
+        monkeypatch.chdir(pipeline)
+        assert main(argv) == 0
+        assert expected in capsys.readouterr().out
+        assert not (pipeline / "-").exists()
 
 
 def assert_one_line_error(capsys, prefix: str) -> None:
