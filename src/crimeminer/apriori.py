@@ -88,11 +88,7 @@ def support(itemset: Iterable[Item], transactions: Sequence[frozenset]) -> tuple
     return count / len(transactions), count
 
 
-def _generate_candidates(
-    frequent: Iterable[frozenset],
-    k: int,
-    key: ItemKey,
-) -> list[frozenset]:
+def _generate_candidates(frequent: Iterable[frozenset], key: ItemKey) -> list[frozenset]:
     """Join frequent (k-1)-itemsets on a shared (k-2)-prefix, then prune."""
     previous = {frozenset(s) for s in frequent}
     as_tuples = sorted(
@@ -192,7 +188,7 @@ def mine_frequent(
     k = 1
     while current and (max_size is None or k < max_size):
         k += 1
-        candidates = _generate_candidates(current, k, key)
+        candidates = _generate_candidates(current, key)
         if not candidates:
             itemsets[k] = {}
             break

@@ -269,23 +269,23 @@ def _majority(counts: Mapping[CrimeCategory, int]) -> CrimeCategory:
 class _GrowNode:
     """Frontier bookkeeping during best-first growth."""
 
-    __slots__ = ("records", "counts", "path", "creation", "best", "children")
+    __slots__ = ("records", "counts", "creation", "best", "children")
 
-    def __init__(self, records, path, creation):
+    def __init__(self, records, creation):
         self.records = records
         self.counts = Counter(r.crime_type for r in records)
-        self.path = path  # frozenset of (feature, value) predicates already used
         self.creation = creation
-        self.best = _best_split(records, self.counts, path)
+        self.best = _best_split(records, self.counts)
         self.children: tuple | None = None  # (feature, value, gain, true_node, false_node)
 
 
-def _best_split(records, counts, path):
+def _best_split(records, counts):
     """Highest-gain (feature == value) predicate, or None if no gain is positive.
 
     Ties break by feature order month < day < time < location, then by the
     feature's canonical value order (both enforced by iteration order with a
-    strictly-greater comparison).
+    strictly-greater comparison). A predicate already on the node's path is
+    never chosen again: it holds for every record or for none.
     """
     parent_entropy = entropy(counts)
     if parent_entropy == 0.0:
@@ -298,8 +298,6 @@ def _best_split(records, counts, path):
         for r in records:
             by_value.setdefault(read(r), Counter())[r.crime_type] += 1
         for value in sorted(by_value, key=lambda v: value_order_key(feature, v)):
-            if (feature, value) in path:
-                continue
             true_counts = by_value[value]
             n_true = sum(true_counts.values())
             if n_true == total:
@@ -323,7 +321,7 @@ def dt_train(train: Sequence[UnifiedCrimeRecord], max_leaves: int = 10) -> Decis
         raise ValueError(f"max_leaves must be >= 2, got {max_leaves}")
 
     creation = 0
-    root = _GrowNode(list(train), frozenset(), creation)
+    root = _GrowNode(list(train), creation)
     frontier = [root]
     n_leaves = 1
     while n_leaves < max_leaves:
@@ -335,9 +333,8 @@ def dt_train(train: Sequence[UnifiedCrimeRecord], max_leaves: int = 10) -> Decis
         read = ATTRIBUTES[feature].read
         true_records = [r for r in node.records if read(r) == value]
         false_records = [r for r in node.records if read(r) != value]
-        path = node.path | {(feature, value)}
-        true_child = _GrowNode(true_records, path, creation + 1)
-        false_child = _GrowNode(false_records, path, creation + 2)
+        true_child = _GrowNode(true_records, creation + 1)
+        false_child = _GrowNode(false_records, creation + 2)
         creation += 2
         node.children = (feature, value, gain, true_child, false_child)
         frontier.remove(node)
@@ -470,7 +467,10 @@ def save_model(model: NaiveBayesModel | DecisionTree, fp: TextIO) -> None:
 
 def load_model(fp: TextIO) -> NaiveBayesModel | DecisionTree:
     """Read a saved model; any malformed content raises ``ValueError``."""
-    obj = json.load(fp)
+    try:
+        obj = json.load(fp)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"malformed model: {exc}") from None
     schema = obj.get("schema") if isinstance(obj, dict) else None
     if schema not in (NB_SCHEMA, DT_SCHEMA):
         raise ValueError(f"unknown model schema {schema!r}")

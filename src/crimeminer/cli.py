@@ -263,8 +263,8 @@ def _cmd_mine(args) -> None:
         raise UsageError(f"--min-sup must be in (0, 1], got {args.min_sup}")
     dataset = _read_dataset(args.dataset)
     if args.min_count is not None:
-        if not dataset:
-            raise UsageError("--min-count needs a nonempty dataset")
+        if args.min_count > len(dataset):
+            raise UsageError(f"--min-count {args.min_count} exceeds the dataset size {len(dataset)}")
         min_sup = args.min_count / len(dataset)
     else:
         min_sup = args.min_sup

@@ -75,12 +75,6 @@ class EvaluationReport:
     accuracy: float
 
 
-def confusion_matrix(
-    actual: Sequence[CrimeCategory], predicted: Sequence[CrimeCategory]
-) -> ConfusionMatrix:
-    return ConfusionMatrix.from_pairs(actual, predicted)
-
-
 def classification_report(matrix: ConfusionMatrix) -> EvaluationReport:
     """Per-class and support-weighted precision/recall/F1 plus accuracy.
 
@@ -123,7 +117,7 @@ def evaluate_split(
 ) -> EvaluationReport:
     """Train on one set, predict the other, and report."""
     actual, predicted = _fit_predict(train, test, model_kind, alpha, max_leaves)
-    return classification_report(confusion_matrix(actual, predicted))
+    return classification_report(ConfusionMatrix.from_pairs(actual, predicted))
 
 
 def _fit_predict(train, test, model_kind, alpha, max_leaves):
@@ -204,7 +198,7 @@ def cross_validate(
         fold_accuracies.append(hits / len(actual))
         pooled_actual.extend(actual)
         pooled_predicted.extend(predicted)
-    report = classification_report(confusion_matrix(pooled_actual, pooled_predicted))
+    report = classification_report(ConfusionMatrix.from_pairs(pooled_actual, pooled_predicted))
     return CrossValidationResult(
         mean_accuracy=sum(fold_accuracies) / k,
         fold_accuracies=tuple(fold_accuracies),

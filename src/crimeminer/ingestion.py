@@ -12,7 +12,7 @@ import datetime as dt
 import json
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import ClassVar, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .errors import (
     DuplicateNeighborhoodError,
@@ -85,9 +85,6 @@ def _parse_flexible_date(text: str) -> tuple[dt.date, dt.time | None]:
     Two-digit years pivot at 2000 (``14`` means 2014). Returns the time part
     as ``None`` when the value carries no clock component.
     """
-    text = text.strip()
-    if not text:
-        raise ValueError("empty date")
     parts = text.split()
     if "/" in parts[0]:
         if len(parts) > 2:
@@ -109,41 +106,99 @@ def _parse_flexible_date(text: str) -> tuple[dt.date, dt.time | None]:
 
 def _parse_military_time(text: str) -> dt.time:
     """Parse an up-to-4-digit military clock reading, e.g. ``2200`` -> 22:00."""
-    digits = text.strip()
-    if not digits.isdigit() or len(digits) > 4:
+    if not text.isdigit() or len(text) > 4:
         raise ValueError(f"bad military time {text!r}")
-    padded = digits.zfill(4)
+    padded = text.zfill(4)
     return dt.time(int(padded[:2]), int(padded[2:]))
 
 
 _FLAG_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-def _parse_flag(text: str) -> bool | None:
-    return _FLAG_VALUES.get(text.strip().lower())
+def _column_positions(header: Sequence[str], required: Sequence[str]) -> list[int]:
+    """Header position of each required column, case-insensitively.
 
-
-def _column_index(header: Sequence[str], required: Iterable[str]) -> dict[str, int]:
-    """Map required column names to header positions, case-insensitively."""
+    Looked up by name, so a column named twice in ``required`` maps twice.
+    """
     positions = {name.strip().lower(): i for i, name in enumerate(header)}
-    index: dict[str, int] = {}
-    missing: list[str] = []
-    for name in required:
-        pos = positions.get(name.strip().lower())
-        if pos is None:
-            missing.append(name)
-        else:
-            index[name] = pos
+    missing = [name for name in required if name.strip().lower() not in positions]
     if missing:
         raise MissingColumnError(f"header is missing required column(s): {', '.join(missing)}")
-    return index
+    return [positions[name.strip().lower()] for name in required]
 
 
-def _open_csv(path) -> TextIO:
+class _Rejected(Exception):
+    """A row fails a check; the one argument is the reason it is counted under."""
+
+
+def _nonempty(text: str, reason: str) -> str:
+    if not text:
+        raise _Rejected(reason)
+    return text
+
+
+def _parses(parse, text: str, reason: str):
     try:
-        return open(path, newline="", encoding="utf-8-sig")
+        return parse(text)
+    except ValueError:
+        raise _Rejected(reason) from None
+
+
+def _csv_rows(path, required: Sequence[str], report: IngestReport) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(row_number, cells)`` for each non-blank data row of a CSV.
+
+    ``cells`` are the stripped values of the ``required`` columns in order,
+    ``""`` past the row's end. Rows read and blank rows are counted in
+    ``report``; the caller accepts or rejects every row yielded.
+    """
+    try:
+        fp = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise FileUnreadableError(f"cannot read {path}: {exc}") from exc
+    with fp:
+        reader = csv.reader(fp)
+        header = next(reader, None)
+        if header is None:
+            raise MissingColumnError(f"{path}: file is empty, no header row")
+        positions = _column_positions(header, required)
+        width = max(positions) + 1
+        for row_number, row in enumerate(reader, start=1):
+            report.rows_read += 1
+            if not "".join(row).strip():
+                report.reject("blank-row")
+                continue
+            row += [""] * (width - len(row))
+            yield row_number, [row[i].strip() for i in positions]
+
+
+def _denver_when(cells: Sequence[str]) -> tuple[dt.date, dt.time, bool]:
+    _, stamp, _, flag = cells
+    date, time = _parses(_parse_flexible_date, _nonempty(stamp, "missing-datetime"), "bad-datetime")
+    if time is None:
+        raise _Rejected("missing-time")
+    is_crime = _FLAG_VALUES.get(flag.lower())
+    if is_crime is None:
+        raise _Rejected("bad-is-crime")
+    return date, time, is_crime
+
+
+def _la_when(cells: Sequence[str]) -> tuple[dt.date, dt.time, None]:
+    _, raw_date, raw_time, _ = cells
+    parts = raw_date.split()
+    if len(parts) == 3 and parts[2].upper() in ("AM", "PM"):
+        # The current export's "01/08/2020 12:00:00 AM": TIME OCC carries the time.
+        raw_date = f"{parts[0]} {parts[1]}"
+    date, _ = _parses(_parse_flexible_date, _nonempty(raw_date, "missing-date"), "bad-date")
+    time = _parses(_parse_military_time, _nonempty(raw_time, "missing-time"), "bad-time")
+    return date, time, None
+
+
+# Per schema: key columns, the position of the location among them, and the
+# check that reads date, time and crime flag from the key cells.
+_CRIME_LAYOUTS = {
+    Schema.DENVER: (DENVER_KEY_COLUMNS, 2, _denver_when),
+    Schema.LOS_ANGELES: (LA_KEY_COLUMNS, 3, _la_when),
+}
 
 
 def load_crime_csv(path, schema: Schema) -> tuple[list[RawCrimeRecord], IngestReport]:
@@ -155,85 +210,26 @@ def load_crime_csv(path, schema: Schema) -> tuple[list[RawCrimeRecord], IngestRe
     """
     report = IngestReport()
     records: list[RawCrimeRecord] = []
-    with _open_csv(path) as fp:
-        reader = csv.reader(fp)
-        header = next(reader, None)
-        if header is None:
-            raise MissingColumnError(f"{path}: file is empty, no header row")
-        if schema is Schema.DENVER:
-            index = _column_index(header, DENVER_KEY_COLUMNS)
-            cat_i, stamp_i, loc_i, flag_i = (index[c] for c in DENVER_KEY_COLUMNS)
-        else:
-            index = _column_index(header, LA_KEY_COLUMNS)
-            cat_i, date_i, time_i, loc_i = (index[c] for c in LA_KEY_COLUMNS)
-
-        for row_number, row in enumerate(reader, start=1):
-            report.rows_read += 1
-            if not any(cell.strip() for cell in row):
-                report.reject("blank-row")
-                continue
-
-            def cell(i: int) -> str:
-                return row[i].strip() if i < len(row) else ""
-
-            category = cell(cat_i)
-            if not category:
-                report.reject("missing-category")
-                continue
-            location = cell(loc_i)
-            if not location:
-                report.reject("missing-location")
-                continue
-
-            if schema is Schema.DENVER:
-                stamp = cell(stamp_i)
-                if not stamp:
-                    report.reject("missing-datetime")
-                    continue
-                try:
-                    date, time = _parse_flexible_date(stamp)
-                except ValueError:
-                    report.reject("bad-datetime")
-                    continue
-                if time is None:
-                    report.reject("missing-time")
-                    continue
-                is_crime = _parse_flag(cell(flag_i))
-                if is_crime is None:
-                    report.reject("bad-is-crime")
-                    continue
-            else:
-                raw_date = cell(date_i)
-                if not raw_date:
-                    report.reject("missing-date")
-                    continue
-                try:
-                    date, extra_time = _parse_flexible_date(raw_date)
-                except ValueError:
-                    report.reject("bad-date")
-                    continue
-                raw_time = cell(time_i)
-                if not raw_time:
-                    report.reject("missing-time")
-                    continue
-                try:
-                    time = _parse_military_time(raw_time)
-                except ValueError:
-                    report.reject("bad-time")
-                    continue
-                is_crime = None
-
-            records.append(
-                RawCrimeRecord(
-                    offense_category=normalize_category(category),
-                    date=date,
-                    time=time,
-                    location_name=normalize_location(location),
-                    is_crime=is_crime,
-                    source_row=row_number,
-                )
+    required, location_at, when = _CRIME_LAYOUTS[schema]
+    for row_number, cells in _csv_rows(path, required, report):
+        try:
+            category = _nonempty(cells[0], "missing-category")
+            location = _nonempty(cells[location_at], "missing-location")
+            date, time, is_crime = when(cells)
+        except _Rejected as exc:
+            report.reject(exc.args[0])
+            continue
+        records.append(
+            RawCrimeRecord(
+                offense_category=normalize_category(category),
+                date=date,
+                time=time,
+                location_name=normalize_location(location),
+                is_crime=is_crime,
+                source_row=row_number,
             )
-            report.accept()
+        )
+        report.accept()
     return records, report
 
 
@@ -292,7 +288,7 @@ def read_raw_jsonl(fp: TextIO) -> list[RawCrimeRecord]:
             continue
         try:
             records.append(raw_from_json_dict(json.loads(line)))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ValueError(f"bad raw record on line {line_number}: {exc}") from exc
     return records
 
@@ -315,38 +311,35 @@ class DemographicsColumns:
     age_brackets: Mapping[str, str]
     extras: Mapping[str, str] = field(default_factory=dict)
 
+    COUNT_FIELDS: ClassVar[tuple[str, ...]] = (
+        "population", "male", "female", "housing_units", "occupied", "vacant", "owned", "rented",
+    )
+
     def scalar_columns(self) -> dict[str, str]:
-        return {
-            "population": self.population,
-            "male": self.male,
-            "female": self.female,
-            "housing_units": self.housing_units,
-            "occupied": self.occupied,
-            "vacant": self.vacant,
-            "owned": self.owned,
-            "rented": self.rented,
-        }
+        return {name: getattr(self, name) for name in self.COUNT_FIELDS}
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "DemographicsColumns":
-        return cls(
-            neighborhood=obj["neighborhood"],
-            population=obj["population"],
-            male=obj["male"],
-            female=obj["female"],
-            housing_units=obj["housing_units"],
-            occupied=obj["occupied"],
-            vacant=obj["vacant"],
-            owned=obj["owned"],
-            rented=obj["rented"],
-            age_brackets=dict(obj.get("age_brackets", {})),
-            extras=dict(obj.get("extras", {})),
-        )
+        """Bindings from a parsed column map; a malformed map raises ``ValueError``."""
+        if not isinstance(obj, Mapping):
+            raise ValueError("column map must be a JSON object")
+        names = ("neighborhood", *cls.COUNT_FIELDS)
+        for name in names:
+            if not isinstance(obj.get(name), str):
+                raise ValueError(f"column map needs a column name for {name!r}")
+        tables = {name: obj.get(name, {}) for name in ("age_brackets", "extras")}
+        for name, table in tables.items():
+            if not isinstance(table, Mapping) or not all(isinstance(v, str) for v in table.values()):
+                raise ValueError(f"column map {name!r} must map labels to column names")
+        return cls(**{name: obj[name] for name in names}, **{k: dict(t) for k, t in tables.items()})
 
     @classmethod
     def from_json_file(cls, path) -> "DemographicsColumns":
         with open(path, encoding="utf-8") as fp:
-            return cls.from_json_dict(json.load(fp))
+            try:
+                return cls.from_json_dict(json.load(fp))
+            except (ValueError, RecursionError) as exc:
+                raise ValueError(f"{path}: {exc}") from None
 
     @classmethod
     def default(cls) -> "DemographicsColumns":
@@ -371,6 +364,13 @@ class DemographicsRecord:
     extras: Mapping[str, int] = field(default_factory=dict)
 
 
+def _count(text: str) -> int:
+    value = _parses(int, text, "bad-count")
+    if value < 0:
+        raise _Rejected("negative-count")
+    return value
+
+
 def load_demographics_csv(
     path,
     columns: DemographicsColumns | None = None,
@@ -386,80 +386,42 @@ def load_demographics_csv(
     records: list[DemographicsRecord] = []
     seen: set[str] = set()
 
-    required = [columns.neighborhood]
-    required.extend(columns.scalar_columns().values())
-    required.extend(columns.age_brackets.values())
-    required.extend(columns.extras.values())
-
-    with _open_csv(path) as fp:
-        reader = csv.reader(fp)
-        header = next(reader, None)
-        if header is None:
-            raise MissingColumnError(f"{path}: file is empty, no header row")
-        index = _column_index(header, required)
-
-        for row in reader:
-            report.rows_read += 1
-            if not any(cell.strip() for cell in row):
-                report.reject("blank-row")
-                continue
-
-            def cell(name: str) -> str:
-                i = index[name]
-                return row[i].strip() if i < len(row) else ""
-
-            name_raw = cell(columns.neighborhood)
-            if not name_raw:
-                report.reject("missing-neighborhood")
-                continue
-            name = normalize_location(name_raw)
+    scalar_columns = columns.scalar_columns()
+    required = [columns.neighborhood, *scalar_columns.values(),
+                *columns.age_brackets.values(), *columns.extras.values()]
+    for _, cells in _csv_rows(path, required, report):
+        try:
+            name = normalize_location(_nonempty(cells[0], "missing-neighborhood"))
             if name in seen:
                 raise DuplicateNeighborhoodError(f"neighborhood {name!r} appears more than once")
-
-            try:
-                scalars = {k: _parse_count(cell(col)) for k, col in columns.scalar_columns().items()}
-                brackets = {label: _parse_count(cell(col)) for label, col in columns.age_brackets.items()}
-                extras = {label: _parse_count(cell(col)) for label, col in columns.extras.items()}
-            except _NegativeCount:
-                report.reject("negative-count")
-                continue
-            except ValueError:
-                report.reject("bad-count")
-                continue
-
+            # Each zip stops at its labels, so the three take consecutive counts.
+            counts = iter([_count(cell) for cell in cells[1:]])
+            scalars = dict(zip(scalar_columns, counts))
+            brackets = dict(zip(columns.age_brackets, counts))
+            extras = dict(zip(columns.extras, counts))
             if scalars["occupied"] + scalars["vacant"] != scalars["housing_units"]:
-                report.reject("unit-sum-mismatch")
-                continue
+                raise _Rejected("unit-sum-mismatch")
             if scalars["male"] + scalars["female"] != scalars["population"]:
-                report.reject("gender-sum-mismatch")
-                continue
+                raise _Rejected("gender-sum-mismatch")
+        except _Rejected as exc:
+            report.reject(exc.args[0])
+            continue
 
-            seen.add(name)
-            records.append(
-                DemographicsRecord(
-                    neighborhood=name,
-                    population_total=scalars["population"],
-                    male=scalars["male"],
-                    female=scalars["female"],
-                    age_brackets=brackets,
-                    housing_units_total=scalars["housing_units"],
-                    occupied_units=scalars["occupied"],
-                    vacant_units=scalars["vacant"],
-                    owned_units=scalars["owned"],
-                    rented_units=scalars["rented"],
-                    extras=extras,
-                )
+        seen.add(name)
+        records.append(
+            DemographicsRecord(
+                neighborhood=name,
+                population_total=scalars["population"],
+                male=scalars["male"],
+                female=scalars["female"],
+                age_brackets=brackets,
+                housing_units_total=scalars["housing_units"],
+                occupied_units=scalars["occupied"],
+                vacant_units=scalars["vacant"],
+                owned_units=scalars["owned"],
+                rented_units=scalars["rented"],
+                extras=extras,
             )
-            report.accept()
+        )
+        report.accept()
     return records, report
-
-
-class _NegativeCount(ValueError):
-    pass
-
-
-def _parse_count(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise _NegativeCount(text)
-    return value

@@ -48,15 +48,21 @@ class TypeMapping:
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, str]) -> "TypeMapping":
+        """A mapping from parsed JSON; a malformed one raises ``ValueError``."""
+        if not isinstance(raw, Mapping):
+            raise ValueError("type mapping must be a JSON object")
+        for k, v in raw.items():
+            if not isinstance(v, str):
+                raise ValueError(f"type mapping entry {k!r} must name a crime type")
         return cls({normalize_category(k): CrimeCategory.from_label(v) for k, v in raw.items()})
 
     @classmethod
     def from_json_file(cls, path) -> "TypeMapping":
         with open(path, encoding="utf-8") as fp:
-            obj = json.load(fp)
-        if not isinstance(obj, dict):
-            raise ValueError(f"{path}: type mapping must be a JSON object")
-        return cls.from_dict(obj)
+            try:
+                return cls.from_dict(json.load(fp))
+            except (ValueError, RecursionError) as exc:
+                raise ValueError(f"{path}: {exc}") from None
 
     @classmethod
     def for_schema(cls, schema: Schema) -> "TypeMapping":
@@ -217,6 +223,6 @@ def read_unified_jsonl(fp: TextIO) -> list[UnifiedCrimeRecord]:
             continue
         try:
             records.append(unified_from_json_dict(json.loads(line)))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ValueError(f"bad unified record on line {line_number}: {exc}") from exc
     return records

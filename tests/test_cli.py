@@ -1,5 +1,6 @@
 """Command-line pipeline: wiring, exit codes, determinism, config precedence."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -13,6 +14,11 @@ from crimeminer.cli import main
 from crimeminer.preprocess import read_unified_jsonl
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+DEFAULT_COLUMNS = dataclasses.asdict(ingestion.DemographicsColumns.default())
+COLUMNS_ARGV = ["demographics", "--dataset", "unified.jsonl", "--demographics", "demo.csv",
+                "--columns", "side.json"]
+MAPPING_ARGV = ["preprocess", "--schema", "denver", "--input", "raw.jsonl", "--mapping", "side.json"]
 
 DENVER_CSV = (
     "INCIDENT_ID,OFFENSE_CATEGORY_ID,FIRST_OCCURRENCE_DATE,NEIGHBORHOOD_ID,IS_CRIME\n"
@@ -274,6 +280,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("threshold", [
         ["--min-count", "0"], ["--min-count", "-2"],
         ["--min-sup", "0"], ["--min-sup", "-0.1"], ["--min-sup", "1.5"], ["--min-sup", "nan"],
+        ["--min-count", "10"],  # the dataset holds 9 records
     ])
     def test_bad_threshold_is_usage_error(self, pipeline, capsys, threshold):
         code = main(["mine", "--dataset", str(pipeline / "unified.jsonl"),
@@ -294,6 +301,31 @@ class TestExitCodes:
         (pipeline / "deep.json").write_text("[" * 5000 + "\n", encoding="utf-8")
         assert main(argv + ["--output", "out"]) == 2
         assert_one_line_error(capsys, "error: ")
+
+    @pytest.mark.parametrize("argv, content, named", [
+        pytest.param(COLUMNS_ARGV, '{"neighborhood": "NBHD_NAME"}', "side.json", id="columns-missing-key"),
+        pytest.param(COLUMNS_ARGV, "[1]", "side.json", id="columns-list"),
+        pytest.param(COLUMNS_ARGV, json.dumps({**DEFAULT_COLUMNS, "age_brackets": 5}), "side.json",
+                     id="columns-brackets-number"),
+        pytest.param(COLUMNS_ARGV, json.dumps({**DEFAULT_COLUMNS, "extras": {"x": 1}}), "side.json",
+                     id="columns-extras-number"),
+        pytest.param(MAPPING_ARGV, '{"a": 5}', "side.json", id="mapping-number"),
+        pytest.param(MAPPING_ARGV, '{"larceny": "Jaywalking"}', "side.json", id="mapping-unknown-type"),
+        pytest.param(COLUMNS_ARGV, "[" * 5000, "side.json", id="columns-deep"),
+        pytest.param(MAPPING_ARGV, "[" * 5000, "side.json", id="mapping-deep"),
+        pytest.param(["stats", "--attribute", "day", "--dataset", "side.json"], "[" * 5000, "line 1",
+                     id="dataset-deep"),
+        pytest.param(["preprocess", "--schema", "denver", "--input", "side.json"], "[" * 5000, "line 1",
+                     id="raw-deep"),
+        pytest.param(["predict", "--model", "side.json", "--month", "June", "--day", "Friday",
+                      "--time", "T6", "--location", "cbd"], "[" * 5000, "malformed model", id="model-deep"),
+    ])
+    def test_malformed_side_file_names_it(self, pipeline, capsys, monkeypatch, argv, content, named):
+        monkeypatch.chdir(pipeline)
+        (pipeline / "side.json").write_text(content, encoding="utf-8")
+        assert main(argv + ["--output", "out"]) == 2
+        assert named in assert_one_line_error(capsys, "error: ")
+        assert not (pipeline / "out").exists()
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_is_usage_error(self, pipeline, capsys, threads):
@@ -341,10 +373,11 @@ class TestDashMeansStdout:
         assert not (pipeline / "-").exists()
 
 
-def assert_one_line_error(capsys, prefix: str) -> None:
+def assert_one_line_error(capsys, prefix: str) -> str:
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith(prefix) and err.count("\n") == 1, err
+    return err
 
 
 def modules_after(argv: list[str]) -> set[str]:

@@ -17,7 +17,6 @@ from crimeminer.errors import (
 from crimeminer.evaluate import (
     ConfusionMatrix,
     classification_report,
-    confusion_matrix,
     cross_validate,
     evaluate_split,
     make_fold_indices,
@@ -43,14 +42,14 @@ REFERENCE_MATRIX = ConfusionMatrix(cells=REFERENCE_CELLS)
 
 class TestConfusionMatrix:
     def test_pairwise_counting(self):
-        matrix = confusion_matrix([TH, TH], [TH, A])
+        matrix = ConfusionMatrix.from_pairs([TH, TH], [TH, A])
         assert matrix.cells[4][4] == 1
         assert matrix.cells[4][0] == 1
         assert matrix.total == 2
 
     def test_identical_lists_give_a_diagonal(self):
         actual = [A, DA, TH, TH, WC]
-        matrix = confusion_matrix(actual, list(actual))
+        matrix = ConfusionMatrix.from_pairs(actual, list(actual))
         assert matrix.trace == len(actual)
         report = classification_report(matrix)
         assert report.accuracy == 1.0
@@ -60,17 +59,17 @@ class TestConfusionMatrix:
         rng = random.Random(0)
         shuffled = list(pairs)
         rng.shuffle(shuffled)
-        first = confusion_matrix(*zip(*pairs))
-        second = confusion_matrix(*zip(*shuffled))
+        first = ConfusionMatrix.from_pairs(*zip(*pairs))
+        second = ConfusionMatrix.from_pairs(*zip(*shuffled))
         assert first == second
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
-            confusion_matrix([A], [A, TH])
+            ConfusionMatrix.from_pairs([A], [A, TH])
 
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
-            confusion_matrix([], [])
+            ConfusionMatrix.from_pairs([], [])
 
 
 class TestClassificationReport:
@@ -103,7 +102,7 @@ class TestClassificationReport:
 
     def test_two_class_hand_arithmetic(self):
         # embedded 2x2 block [[3,1],[2,4]]: precision A=3/5, recall A=3/4, acc=7/10
-        matrix = confusion_matrix([A] * 4 + [DA] * 6, [A, A, A, DA] + [A, A, DA, DA, DA, DA])
+        matrix = ConfusionMatrix.from_pairs([A] * 4 + [DA] * 6, [A, A, A, DA] + [A, A, DA, DA, DA, DA])
         report = classification_report(matrix)
         assert report.per_class[A].precision == pytest.approx(3 / 5)
         assert report.per_class[A].recall == pytest.approx(3 / 4)
@@ -114,7 +113,7 @@ class TestClassificationReport:
             classification_report(ConfusionMatrix(cells=tuple((0,) * 6 for _ in range(6))))
 
     def test_f1_zero_when_either_rate_is_zero(self):
-        matrix = confusion_matrix([A, A], [DA, DA])
+        matrix = ConfusionMatrix.from_pairs([A, A], [DA, DA])
         report = classification_report(matrix)
         assert report.per_class[A].f1 == 0.0
 
@@ -124,7 +123,7 @@ class TestClassificationReport:
     )
     def test_weighted_recall_equals_accuracy(self, actual, rng):
         predicted = [rng.choice(list(CrimeCategory)) for _ in actual]
-        report = classification_report(confusion_matrix(actual, predicted))
+        report = classification_report(ConfusionMatrix.from_pairs(actual, predicted))
         assert report.weighted.recall == pytest.approx(report.accuracy, abs=1e-12)
         for metrics in report.per_class.values():
             for value in (metrics.precision, metrics.recall, metrics.f1):

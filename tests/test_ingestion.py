@@ -1,5 +1,6 @@
 """Crime and demographics CSV loading."""
 
+import dataclasses
 import datetime as dt
 import io
 
@@ -127,6 +128,22 @@ class TestLosAngelesLoading:
         records, report = load_crime_csv(path, Schema.LOS_ANGELES)
         assert records == []
         assert report.rejection_reasons == {"bad-time": 2}
+
+    def test_current_export_date_layout(self, tmp_path):
+        path = write_csv(
+            tmp_path,
+            LA_HEADER
+            + "1,BURGLARY,01/08/2020 12:00:00 AM,2200,Pacific\n"
+            + "2,BURGLARY,01/08/2020 12:00:00 PM,0030,Pacific\n"
+            + "3,BURGLARY,8/23/14 noon,2200,Pacific\n"
+            + "4,BURGLARY,01/08/2020 noon PM,2200,Pacific\n",
+        )
+        records, report = load_crime_csv(path, Schema.LOS_ANGELES)
+        assert [(r.date, r.time) for r in records] == [
+            (dt.date(2020, 1, 8), dt.time(22, 0)),
+            (dt.date(2020, 1, 8), dt.time(0, 30)),
+        ]
+        assert report.rejection_reasons == {"bad-date": 2}
 
 
 class TestNormalization:
@@ -274,6 +291,15 @@ class TestDemographics:
         assert records[0].age_brackets == {"20-29": 3}
         assert records[0].extras == {"race_white": 7}
 
+    def test_column_named_twice(self, tmp_path):
+        columns = dataclasses.replace(
+            DemographicsColumns.default(), extras={"residents": "POPULATION_2010", "men": "male"}
+        )
+        records, report = load_demographics_csv(write_csv(tmp_path, DEMO_HEADER + demo_row("baker")), columns)
+        assert report.rows_accepted == 1
+        assert records[0].population_total == 100 and records[0].age_brackets["80+"] == 5
+        assert records[0].extras == {"residents": 100, "men": 60}
+
 
 @given(
     st.lists(
@@ -284,15 +310,30 @@ class TestDemographics:
 def test_row_accounting_sum_law(tmp_path_factory, row_flags):
     """Every row is either accepted or rejected; nothing disappears."""
     tmp_path = tmp_path_factory.mktemp("sumlaw")
-    lines = [DENVER_HEADER]
+    denver, la, demo = [DENVER_HEADER], [LA_HEADER], [DEMO_HEADER]
     for i, (good_category, good_date, good_flag) in enumerate(row_flags):
+        if not (good_category or good_date or good_flag):
+            for lines in (denver, la, demo):
+                lines.append(",,,\n")  # blank row
+            continue
         category = "larceny" if good_category else ""
         date = "6/13/14 21:30" if good_date else "not-a-date"
         flag = "1" if good_flag else "maybe"
-        lines.append(f"{i},{category},{date},baker,{flag}\n")
-    path = tmp_path / "rows.csv"
-    path.write_text("".join(lines), encoding="utf-8")
-    records, report = load_crime_csv(path, Schema.DENVER)
-    assert report.rows_read == len(row_flags)
-    assert report.rows_read == report.rows_accepted + report.rows_rejected
-    assert len(records) == report.rows_accepted
+        denver.append(f"{i},{category},{date},baker,{flag}\n")
+        la_date = "01/08/2020 12:00:00 AM" if good_date else "8/23/14 noon"
+        la.append(f"{i},{category},{la_date},{2200 if good_flag else 2400},Pacific\n")
+        demo.append(demo_row(f"n{i}" if good_category else "", male=60 if good_date else -60,
+                             female=40 if good_flag else 41))
+    loaders = (
+        (denver, lambda path: load_crime_csv(path, Schema.DENVER)),
+        (la, lambda path: load_crime_csv(path, Schema.LOS_ANGELES)),
+        (demo, load_demographics_csv),
+    )
+    for lines, load in loaders:
+        path = tmp_path / "rows.csv"
+        path.write_text("".join(lines), encoding="utf-8")
+        records, report = load(path)
+        assert report.rows_read == len(row_flags)
+        assert report.rows_read == report.rows_accepted + report.rows_rejected
+        assert report.rows_rejected == sum(report.rejection_reasons.values())
+        assert len(records) == report.rows_accepted
