@@ -109,17 +109,10 @@ def _count_chunk(
     candidates: Sequence[frozenset],
     chunk: Sequence[tuple[frozenset, int]],
     k: int,
-    key: ItemKey,
 ) -> dict[frozenset, int]:
     counts = dict.fromkeys(candidates, 0)
     for transaction, multiplicity in chunk:
-        if len(transaction) < k:
-            continue
-        if len(transaction) == k:
-            if transaction in counts:
-                counts[transaction] += multiplicity
-            continue
-        for combo in combinations(sorted(transaction, key=key), k):
+        for combo in combinations(transaction, k):
             subset = frozenset(combo)
             if subset in counts:
                 counts[subset] += multiplicity
@@ -130,18 +123,17 @@ def _count_candidates(
     candidates: Sequence[frozenset],
     weighted: Sequence[tuple[frozenset, int]],
     k: int,
-    key: ItemKey,
     threads: int,
 ) -> dict[frozenset, int]:
     if threads <= 1 or len(weighted) < 2 * threads:
-        return _count_chunk(candidates, weighted, k, key)
+        return _count_chunk(candidates, weighted, k)
     # Partition into contiguous chunks; merging by integer addition makes the
     # result identical to the single-threaded pass for any thread count.
     size = (len(weighted) + threads - 1) // threads
     chunks = [weighted[i : i + size] for i in range(0, len(weighted), size)]
     totals = dict.fromkeys(candidates, 0)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for partial in pool.map(lambda c: _count_chunk(candidates, c, k, key), chunks):
+        for partial in pool.map(lambda c: _count_chunk(candidates, c, k), chunks):
             for itemset, count in partial.items():
                 totals[itemset] += count
     return totals
@@ -192,7 +184,7 @@ def mine_frequent(
         if not candidates:
             itemsets[k] = {}
             break
-        counts = _count_candidates(candidates, weighted, k, key, threads)
+        counts = _count_candidates(candidates, weighted, k, threads)
         current = {s: c for s, c in counts.items() if c / n >= min_sup}
         itemsets[k] = level_entry(current)
     return MiningRun(min_sup=min_sup, dataset_size=n, itemsets=itemsets)

@@ -98,9 +98,6 @@ def split_train_test(dataset: Sequence, spec: SplitSpec) -> tuple[list, list]:
 
 # --- Naive Bayes --------------------------------------------------------------
 
-UNSEEN = "__unseen__"  # reserved smoothing slot, never a real feature value
-
-
 @dataclass(frozen=True)
 class NaiveBayesModel:
     """Class priors plus per-feature conditional log-probability tables.
@@ -108,7 +105,7 @@ class NaiveBayesModel:
     For each feature f and class c the conditionals follow
     ``P(v|c,f) = (count(v,c,f) + alpha) / (count_c + alpha * (|vocab_f| + 1))``
     with the +1 slot reserved for values unseen in training, so the
-    distribution over vocab plus UNSEEN sums to one exactly.
+    distribution over vocab plus the unseen slot sums to one exactly.
     """
 
     alpha: float

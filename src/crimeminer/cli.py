@@ -3,14 +3,17 @@
 Subcommands: ingest, preprocess, stats, mine, train, predict, evaluate,
 demographics. Stages communicate through files (raw/unified JSON Lines,
 JSON models, CSV tables). Exit codes: 0 success, 1 usage error, 2 data
-error. Diagnostics go to stderr; data goes to files or stdout.
+error. Diagnostics go to stderr; data goes to files or stdout. A run's
+output files appear whole or not at all.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -32,12 +35,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _ranged(kind, low, high=None):
+    """An argparse ``type``: a ``kind`` of at least ``low``, or in (low, high]
+    when ``high`` is given. ``--config`` values pass the same check."""
+    span = f"at least {low}" if high is None else f"in ({low}, {high}]"
+
+    def parse(text):
+        value = kind(text)
+        if not (value >= low if high is None else low < value <= high):
+            raise argparse.ArgumentTypeError(f"must be {span}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON file supplying defaults for any flag of this subcommand")
-    sub.add_argument("--seed", type=int, default=42, help="seed for all randomized steps")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="worker threads for mining / cross-validation (results are identical for any value)")
-    sub.add_argument("--output", help="output path ('-' or omitted = stdout unless noted)")
+    sub.add_argument("--output", default="-", help="output path ('-' = stdout, the default unless noted)")
 
 
 def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
@@ -65,7 +79,7 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     sub.add_argument("--input", required=True, help="raw-records JSONL path")
     sub.add_argument("--mapping", help="type-mapping JSON (default: packaged mapping for the schema)")
     sub.add_argument("--report", help="write the preprocess report JSON here")
-    sub.add_argument("--max-reject-fraction", type=float, default=0.01,
+    sub.add_argument("--max-reject-fraction", type=_ranged(float, 0), default=0.01,
                      help="abort when more than this fraction of rows is rejected")
     sub.set_defaults(handler=_cmd_preprocess)
 
@@ -75,25 +89,28 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     sub.add_argument("--attribute", help="frequency table over month/day/time/location/type/hour")
     sub.add_argument("--rows", help="crosstab row attribute")
     sub.add_argument("--cols", help="crosstab column attribute")
-    sub.add_argument("--top", type=int, help="location ranking: top picks")
-    sub.add_argument("--middle", type=int, help="location ranking: centered middle picks")
-    sub.add_argument("--bottom", type=int, help="location ranking: bottom picks")
+    sub.add_argument("--top", type=_ranged(int, 0), help="location ranking: top picks")
+    sub.add_argument("--middle", type=_ranged(int, 0), help="location ranking: centered middle picks")
+    sub.add_argument("--bottom", type=_ranged(int, 0), help="location ranking: bottom picks")
     sub.set_defaults(handler=_cmd_stats)
 
     sub = command("mine", "mine (location, day, time) hotspot patterns")
     sub.add_argument("--dataset", required=True, help="unified dataset JSONL path")
-    sub.add_argument("--min-sup", type=float, help="minimum support as a decimal fraction")
-    sub.add_argument("--min-count", type=int,
+    sub.add_argument("--min-sup", type=_ranged(float, 0, 1), help="minimum support as a decimal fraction")
+    sub.add_argument("--min-count", type=_ranged(int, 1),
                      help="minimum absolute count (converted by dividing by the dataset size)")
     sub.add_argument("--summary", help="run summary JSON path (default: alongside the pattern CSV)")
+    sub.add_argument("--threads", type=_ranged(int, 1), default=1,
+                     help="worker threads for counting (results are identical for any value)")
     sub.set_defaults(handler=_cmd_mine, output="patterns.csv")
 
     sub = command("train", "train a crime-type classifier on a seeded split")
     sub.add_argument("--dataset", required=True, help="unified dataset JSONL path")
     sub.add_argument("--model", required=True, choices=["nb", "dt"], help="classifier kind")
-    sub.add_argument("--alpha", type=float, default=1.0, help="Bayes smoothing pseudo-count")
-    sub.add_argument("--max-leaves", type=int, default=10, help="decision tree leaf cap")
-    sub.add_argument("--train-fraction", type=float, default=0.8,
+    sub.add_argument("--alpha", type=_ranged(float, 0), default=1.0, help="Bayes smoothing pseudo-count")
+    sub.add_argument("--max-leaves", type=_ranged(int, 2), default=10, help="decision tree leaf cap")
+    sub.add_argument("--seed", type=int, default=42, help="seed of the train/test split")
+    sub.add_argument("--train-fraction", type=_ranged(float, 0, 1), default=0.8,
                      help="training share of the seeded split; 1.0 trains on everything")
     sub.add_argument("--eval-report", help="evaluate on the held-out split and write the report JSON here")
     sub.set_defaults(handler=_cmd_train, output="model.json")
@@ -109,9 +126,12 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     sub = command("evaluate", "k-fold cross-validation of a classifier")
     sub.add_argument("--dataset", required=True, help="unified dataset JSONL path")
     sub.add_argument("--model", required=True, choices=["nb", "dt"], help="classifier kind")
-    sub.add_argument("--alpha", type=float, default=1.0)
-    sub.add_argument("--max-leaves", type=int, default=10)
-    sub.add_argument("--folds", type=int, default=5)
+    sub.add_argument("--alpha", type=_ranged(float, 0), default=1.0)
+    sub.add_argument("--max-leaves", type=_ranged(int, 2), default=10)
+    sub.add_argument("--folds", type=_ranged(int, 2), default=5)
+    sub.add_argument("--seed", type=int, default=42, help="seed of the fold assignment")
+    sub.add_argument("--threads", type=_ranged(int, 1), default=1,
+                     help="worker threads for the folds (results are identical for any value)")
     sub.add_argument("--csv", help="also write the per-class metrics table as CSV here")
     sub.set_defaults(handler=_cmd_evaluate)
 
@@ -119,8 +139,8 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     sub.add_argument("--dataset", required=True, help="unified dataset JSONL path")
     sub.add_argument("--demographics", required=True, help="demographics CSV path")
     sub.add_argument("--columns", help="column-map JSON (default: packaged bindings)")
-    sub.add_argument("--top", type=int, default=3, help="dangerous group size")
-    sub.add_argument("--bottom", type=int, default=3, help="safe group size")
+    sub.add_argument("--top", type=_ranged(int, 1), default=3, help="dangerous group size")
+    sub.add_argument("--bottom", type=_ranged(int, 1), default=3, help="safe group size")
     sub.add_argument("--per-capita", action="store_true",
                      help="rank by crimes per resident instead of raw counts")
     sub.add_argument("--json", help="also write the comparison as JSON here")
@@ -141,7 +161,7 @@ def _config_default(action: argparse.Action, value, config: str):
         if ok:
             try:
                 value = (action.type or str)(str(value))
-            except ValueError:
+            except (ValueError, argparse.ArgumentTypeError):
                 ok = False
         ok = ok and (action.choices is None or value in action.choices)
     if not ok:
@@ -168,62 +188,90 @@ def _parse(argv: list[str]) -> argparse.Namespace:
             raise UsageError(f"config {args.config}: {args.command} has no flag for {unknown}")
         sub.set_defaults(**{k: _config_default(flags[k], v, args.config) for k, v in overrides.items()})
         args = parser.parse_args(argv)  # explicit flags still win over config
-    if args.threads < 1:
-        raise UsageError(f"--threads must be an integer >= 1, got {args.threads!r}")
     return args
 
 
-@contextlib.contextmanager
-def _open_output(path: str | None):
-    """The one way to open an output: ``-`` (or no path) means stdout."""
-    if path in (None, "-"):
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fp:
-            yield fp
+def _write_json(obj, fp) -> None:
+    json.dump(obj, fp, indent=2, sort_keys=True)
+    fp.write("\n")
 
 
-# --- handlers -----------------------------------------------------------------
+def _write_outputs(outputs) -> None:
+    """Write each ``(path, write)`` output: ``-`` is stdout, ``None`` not asked for.
 
-def _cmd_ingest(args) -> None:
+    Files go to temp files beside their targets and are moved into place
+    once all are complete, so a failure leaves every target as it was. A
+    target that is no regular file (``/dev/null``, a FIFO) is written in
+    place: renaming over it would replace it.
+    """
+    staged: list[tuple[str, str]] = []
+    try:
+        for path, write in outputs:
+            if path is None:
+                continue
+            if path == "-":
+                write(sys.stdout)
+                continue
+            target = os.path.realpath(path)  # through a symlink, as open() goes
+            in_place = os.path.exists(target) and not os.path.isfile(target)
+            temp = target if in_place else f"{target}.{os.getpid()}.{len(staged)}.tmp"
+            try:
+                fp = open(temp, "w" if in_place else "x", encoding="utf-8", newline="")
+            except OSError as exc:
+                raise OSError(f"cannot write {path}: {exc.strerror or exc}") from None
+            if not in_place:
+                staged.append((temp, target))
+            with fp:
+                write(fp)
+        for temp, target in staged:
+            os.replace(temp, target)
+    except BaseException:
+        for temp, _ in staged:
+            with contextlib.suppress(OSError):  # already moved into place
+                os.remove(temp)
+        raise
+
+
+# --- handlers: each returns its outputs as (path, write) pairs -----------------
+
+def _cmd_ingest(args):
     from . import ingestion
     schema = ingestion.Schema.parse(args.schema)
     records, report = ingestion.load_crime_csv(args.input, schema)
     if not args.no_filter:
         records = ingestion.filter_crimes(records, schema, args.exclude)
-    with _open_output(args.output) as fp:
-        ingestion.write_raw_jsonl(records, fp)
-    if args.report:
-        with _open_output(args.report) as fp:
-            report.write_json(fp)
+    return [(args.output, functools.partial(ingestion.write_raw_jsonl, records)),
+            (args.report, functools.partial(_write_json, report.to_json_dict()))]
 
 
-def _cmd_preprocess(args) -> None:
+def _read_text(path, read):
+    """``read(fp)`` over a UTF-8 file; undecodable bytes are an error naming it."""
+    with open(path, encoding="utf-8") as fp:
+        try:
+            return read(fp)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"cannot read {path}: not UTF-8 text: {exc.reason}") from None
+
+
+def _cmd_preprocess(args):
     from . import ingestion, preprocess
     schema = ingestion.Schema.parse(args.schema)
-    with open(args.input, encoding="utf-8") as fp:
-        records = ingestion.read_raw_jsonl(fp)
-    if args.mapping:
-        mapping = preprocess.TypeMapping.from_json_file(args.mapping)
-    else:
-        mapping = preprocess.TypeMapping.for_schema(schema)
+    records = _read_text(args.input, ingestion.read_raw_jsonl)
+    mapping = (preprocess.TypeMapping.from_json_file(args.mapping) if args.mapping
+               else preprocess.TypeMapping.for_schema(schema))
     unified, report = preprocess.preprocess_dataset(
         records, schema, mapping, max_reject_fraction=args.max_reject_fraction
     )
-    with _open_output(args.output) as fp:
-        preprocess.write_unified_jsonl(unified, fp)
-    if args.report:
-        with _open_output(args.report) as fp:
-            report.write_json(fp)
+    return [(args.output, functools.partial(preprocess.write_unified_jsonl, unified)),
+            (args.report, functools.partial(_write_json, report.to_json_dict()))]
 
 
 def _read_dataset(path):
     from . import preprocess
-    with open(path, encoding="utf-8") as fp:
-        return preprocess.read_unified_jsonl(fp)
+    return _read_text(path, preprocess.read_unified_jsonl)
 
 
-def _cmd_stats(args) -> None:
+def _cmd_stats(args):
     from . import stats
     wants_freq = args.attribute is not None
     wants_crosstab = args.rows is not None or args.cols is not None
@@ -235,32 +283,26 @@ def _cmd_stats(args) -> None:
     dataset = _read_dataset(args.dataset)
     if wants_freq:
         table = stats.frequency_table(dataset, args.attribute, args.year)
-        with _open_output(args.output) as fp:
-            stats.write_frequency_csv(table, fp)
+        write = stats.write_frequency_csv
     elif wants_crosstab:
         if args.rows is None or args.cols is None:
             raise UsageError("crosstab needs both --rows and --cols")
         table = stats.crosstab(dataset, args.rows, args.cols, args.year)
-        with _open_output(args.output) as fp:
-            stats.write_crosstab_csv(table, fp)
+        write = stats.write_crosstab_csv
     else:
         if None in (args.top, args.middle, args.bottom):
             raise UsageError("location ranking needs --top, --middle, and --bottom")
         if args.year is not None:
             raise UsageError("--year does not apply to the location ranking")
         table = stats.top_and_bottom_locations(dataset, args.top, args.bottom, args.middle)
-        with _open_output(args.output) as fp:
-            stats.write_frequency_csv(table, fp)
+        write = stats.write_frequency_csv
+    return [(args.output, functools.partial(write, table))]
 
 
-def _cmd_mine(args) -> None:
+def _cmd_mine(args):
     from . import apriori
     if (args.min_sup is None) == (args.min_count is None):
         raise UsageError("give exactly one of --min-sup or --min-count")
-    if args.min_count is not None and args.min_count < 1:
-        raise UsageError(f"--min-count must be at least 1, got {args.min_count}")
-    if args.min_sup is not None and not 0 < args.min_sup <= 1:
-        raise UsageError(f"--min-sup must be in (0, 1], got {args.min_sup}")
     dataset = _read_dataset(args.dataset)
     if args.min_count is not None:
         if args.min_count > len(dataset):
@@ -269,18 +311,14 @@ def _cmd_mine(args) -> None:
     else:
         min_sup = args.min_sup
     run = apriori.mine_hotspot_patterns(dataset, min_sup, threads=args.threads)
-    with _open_output(args.output) as fp:
-        apriori.write_patterns_csv(run, fp)
-    summary_path = args.summary
-    if summary_path is None and args.output != "-":
-        summary_path = str(Path(args.output).with_suffix(".summary.json"))
-    if summary_path:
-        with _open_output(summary_path) as fp:
-            json.dump(apriori.run_summary_dict(run), fp, indent=2, sort_keys=True)
-            fp.write("\n")
+    summary = args.summary
+    if summary is None and args.output != "-":
+        summary = str(Path(args.output).with_suffix(".summary.json"))
+    return [(args.output, functools.partial(apriori.write_patterns_csv, run)),
+            (summary, functools.partial(_write_json, apriori.run_summary_dict(run)))]
 
 
-def _cmd_train(args) -> None:
+def _cmd_train(args):
     from . import classify
     dataset = _read_dataset(args.dataset)
     if args.train_fraction == 1.0:
@@ -288,21 +326,20 @@ def _cmd_train(args) -> None:
     else:
         spec = classify.SplitSpec(train_fraction=args.train_fraction, seed=args.seed)
         train, test = classify.split_train_test(dataset, spec)
+    if args.eval_report is not None and not test:
+        raise UsageError("--eval-report needs --train-fraction < 1.0")
     if args.model == "nb":
         model = classify.nb_train(train, alpha=args.alpha)
     else:
         model = classify.dt_train(train, max_leaves=args.max_leaves)
-    with _open_output(args.output) as fp:
-        classify.save_model(model, fp)
-    if args.eval_report:
-        if not test:
-            raise UsageError("--eval-report needs --train-fraction < 1.0")
+    outputs = [(args.output, functools.partial(classify.save_model, model))]
+    if args.eval_report is not None:
         from . import evaluate
         report = evaluate.evaluate_split(
             train, test, args.model, alpha=args.alpha, max_leaves=args.max_leaves
         )
-        with _open_output(args.eval_report) as fp:
-            evaluate.write_report_json(report, fp)
+        outputs.append((args.eval_report, functools.partial(evaluate.write_report_json, report)))
+    return outputs
 
 
 def _match_name(text: str, names: tuple[str, ...], what: str) -> str:
@@ -313,11 +350,10 @@ def _match_name(text: str, names: tuple[str, ...], what: str) -> str:
     raise UsageError(f"unknown {what} {text!r}; expected one of {', '.join(names)}")
 
 
-def _cmd_predict(args) -> None:
+def _cmd_predict(args):
     from . import classify
     from .vocab import MONTH_NAMES, WEEKDAY_NAMES, TimeBin, normalize_location
-    with open(args.model, encoding="utf-8") as fp:
-        model = classify.load_model(fp)
+    model = _read_text(args.model, classify.load_model)
     try:
         time_bin = TimeBin(args.time.strip().upper())
     except ValueError:
@@ -338,59 +374,36 @@ def _cmd_predict(args) -> None:
     else:
         predicted = classify.dt_predict(model, vector)
         result = {"class_id": int(predicted), "class_name": predicted.label}
-    with _open_output(args.output) as fp:
-        json.dump(result, fp, indent=2, sort_keys=True)
-        fp.write("\n")
+    return [(args.output, functools.partial(_write_json, result))]
 
 
-def _cmd_evaluate(args) -> None:
+def _cmd_evaluate(args):
     from . import evaluate
     dataset = _read_dataset(args.dataset)
-    result = evaluate.cross_validate(
-        dataset,
-        args.model,
-        k=args.folds,
-        seed=args.seed,
-        alpha=args.alpha,
-        max_leaves=args.max_leaves,
-        threads=args.threads,
-    )
-    with _open_output(args.output) as fp:
-        evaluate.write_cv_result_json(result, fp)
-    if args.csv:
-        with _open_output(args.csv) as fp:
-            evaluate.write_report_csv(result.report, fp)
+    result = evaluate.cross_validate(dataset, args.model, k=args.folds, seed=args.seed, alpha=args.alpha,
+                                     max_leaves=args.max_leaves, threads=args.threads)
+    return [(args.output, functools.partial(evaluate.write_cv_result_json, result)),
+            (args.csv, functools.partial(evaluate.write_report_csv, result.report))]
 
 
-def _cmd_demographics(args) -> None:
+def _cmd_demographics(args):
     from . import demographics, ingestion
     dataset = _read_dataset(args.dataset)
-    columns = (
-        ingestion.DemographicsColumns.from_json_file(args.columns)
-        if args.columns
-        else ingestion.DemographicsColumns.default()
-    )
+    columns = ingestion.DemographicsColumns.from_json_file(args.columns) if args.columns else None
     records, _report = ingestion.load_demographics_csv(args.demographics, columns)
     rates = demographics.crime_rate_by_location(dataset)
     comparison = demographics.compare_groups(
         rates, records, args.top, args.bottom, per_capita=args.per_capita
     )
-    with _open_output(args.output) as fp:
-        demographics.write_comparison_csv(comparison, fp)
-    if args.json:
-        with _open_output(args.json) as fp:
-            demographics.write_comparison_json(comparison, fp)
+    return [(args.output, functools.partial(demographics.write_comparison_csv, comparison)),
+            (args.json, functools.partial(demographics.write_comparison_json, comparison))]
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         args = _parse(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        args.handler(args)
+        _write_outputs(args.handler(args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

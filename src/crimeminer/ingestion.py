@@ -67,10 +67,6 @@ class IngestReport:
             "rejection_reasons": dict(sorted(self.rejection_reasons.items())),
         }
 
-    def write_json(self, fp: TextIO) -> None:
-        json.dump(self.to_json_dict(), fp, indent=2, sort_keys=True)
-        fp.write("\n")
-
 
 def _parse_clock(text: str) -> dt.time:
     fields = text.split(":")
@@ -149,7 +145,8 @@ def _csv_rows(path, required: Sequence[str], report: IngestReport) -> Iterator[t
 
     ``cells`` are the stripped values of the ``required`` columns in order,
     ``""`` past the row's end. Rows read and blank rows are counted in
-    ``report``; the caller accepts or rejects every row yielded.
+    ``report``; the caller accepts or rejects every row yielded. Bytes that
+    are not UTF-8, or a cell over the field limit, raise ``FileUnreadableError``.
     """
     try:
         fp = open(path, newline="", encoding="utf-8-sig")
@@ -157,18 +154,23 @@ def _csv_rows(path, required: Sequence[str], report: IngestReport) -> Iterator[t
         raise FileUnreadableError(f"cannot read {path}: {exc}") from exc
     with fp:
         reader = csv.reader(fp)
-        header = next(reader, None)
-        if header is None:
-            raise MissingColumnError(f"{path}: file is empty, no header row")
-        positions = _column_positions(header, required)
-        width = max(positions) + 1
-        for row_number, row in enumerate(reader, start=1):
-            report.rows_read += 1
-            if not "".join(row).strip():
-                report.reject("blank-row")
-                continue
-            row += [""] * (width - len(row))
-            yield row_number, [row[i].strip() for i in positions]
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise MissingColumnError(f"{path}: file is empty, no header row")
+            positions = _column_positions(header, required)
+            width = max(positions) + 1
+            for row_number, row in enumerate(reader, start=1):
+                report.rows_read += 1
+                if not "".join(row).strip():
+                    report.reject("blank-row")
+                    continue
+                row += [""] * (width - len(row))
+                yield row_number, [row[i].strip() for i in positions]
+        except csv.Error as exc:
+            raise FileUnreadableError(f"cannot read {path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise FileUnreadableError(f"cannot read {path}: not UTF-8 text: {exc.reason}") from None
 
 
 def _denver_when(cells: Sequence[str]) -> tuple[dt.date, dt.time, bool]:
@@ -288,7 +290,7 @@ def read_raw_jsonl(fp: TextIO) -> list[RawCrimeRecord]:
             continue
         try:
             records.append(raw_from_json_dict(json.loads(line)))
-        except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ValueError(f"bad raw record on line {line_number}: {exc}") from exc
     return records
 
@@ -324,6 +326,9 @@ class DemographicsColumns:
         if not isinstance(obj, Mapping):
             raise ValueError("column map must be a JSON object")
         names = ("neighborhood", *cls.COUNT_FIELDS)
+        unknown = ", ".join(sorted(set(obj) - {*names, "age_brackets", "extras"}))
+        if unknown:
+            raise ValueError(f"column map has unknown keys: {unknown}")
         for name in names:
             if not isinstance(obj.get(name), str):
                 raise ValueError(f"column map needs a column name for {name!r}")

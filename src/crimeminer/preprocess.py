@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import datetime as dt
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, TextIO
 
@@ -87,14 +87,8 @@ class PreprocessReport:
     rows_in: int = 0
     rows_out: int = 0
     rows_rejected: int = 0
-    rejected_categories: dict[str, int] | None = None
-    reasons: dict[str, int] | None = None
-
-    def __post_init__(self):
-        if self.rejected_categories is None:
-            self.rejected_categories = {}
-        if self.reasons is None:
-            self.reasons = {}
+    rejected_categories: dict[str, int] = field(default_factory=dict)
+    reasons: dict[str, int] = field(default_factory=dict)
 
     def reject(self, reason: str) -> None:
         self.rows_rejected += 1
@@ -109,10 +103,6 @@ class PreprocessReport:
             "rejected_categories": dict(sorted(self.rejected_categories.items())),
             "reasons": dict(sorted(self.reasons.items())),
         }
-
-    def write_json(self, fp: TextIO) -> None:
-        json.dump(self.to_json_dict(), fp, indent=2, sort_keys=True)
-        fp.write("\n")
 
 
 def preprocess_dataset(

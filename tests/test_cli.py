@@ -1,21 +1,31 @@
 """Command-line pipeline: wiring, exit codes, determinism, config precedence."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
+import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from crimeminer import ingestion, preprocess, vocab
-from crimeminer.cli import main
+from crimeminer.cli import build_parser, main
 from crimeminer.preprocess import read_unified_jsonl
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 DEFAULT_COLUMNS = dataclasses.asdict(ingestion.DemographicsColumns.default())
+MISSPELLED_COLUMNS = {**{k: v for k, v in DEFAULT_COLUMNS.items() if k != "age_brackets"},
+                      "age_bracket": DEFAULT_COLUMNS["age_brackets"]}
+CSV_HEADER = "INCIDENT_ID,OFFENSE_CATEGORY_ID,FIRST_OCCURRENCE_DATE,NEIGHBORHOOD_ID,IS_CRIME\n"
+INGEST_ARGV = ["ingest", "--schema", "denver", "--input", "side.json"]
 COLUMNS_ARGV = ["demographics", "--dataset", "unified.jsonl", "--demographics", "demo.csv",
                 "--columns", "side.json"]
 MAPPING_ARGV = ["preprocess", "--schema", "denver", "--input", "raw.jsonl", "--mapping", "side.json"]
@@ -268,6 +278,9 @@ class TestExitCodes:
         (["ingest", "--schema", "denver", "--input", "denver.csv"], '{"exclude": [1]}'),
         (["demographics", "--dataset", "unified.jsonl", "--demographics", "demo.csv"],
          '{"per_capita": 1}'),
+        (["evaluate", "--dataset", "unified.jsonl", "--model", "nb"], '{"folds": 1}'),
+        (["train", "--dataset", "unified.jsonl", "--model", "nb"], '{"train_fraction": 1.5}'),
+        (["stats", "--dataset", "unified.jsonl", "--attribute", "day"], '{"seed": 1}'),
     ])
     def test_mistyped_config_value_is_usage_error(self, pipeline, capsys, monkeypatch, argv, content):
         monkeypatch.chdir(pipeline)
@@ -319,10 +332,23 @@ class TestExitCodes:
                      id="raw-deep"),
         pytest.param(["predict", "--model", "side.json", "--month", "June", "--day", "Friday",
                       "--time", "T6", "--location", "cbd"], "[" * 5000, "malformed model", id="model-deep"),
+        pytest.param(COLUMNS_ARGV, json.dumps(MISSPELLED_COLUMNS), "age_bracket", id="columns-unknown-key"),
+        pytest.param(INGEST_ARGV, CSV_HEADER + "1," + "x" * 200000 + ",6/13/14 21:30,cbd,1\n",
+                     "side.json: line 2", id="csv-cell-over-field-limit"),
+        pytest.param(INGEST_ARGV, CSV_HEADER.encode() + b"1,larceny,6/13/14 21:30,caf\xe9,1\n",
+                     "side.json", id="csv-not-utf8"),
+        pytest.param(["demographics", "--dataset", "unified.jsonl", "--demographics", "side.json"],
+                     b"NBHD_NAME\n\xff\n", "side.json", id="demographics-not-utf8"),
+        pytest.param(["stats", "--attribute", "day", "--dataset", "side.json"], b"\xff\n", "side.json",
+                     id="dataset-not-utf8"),
+        pytest.param(["preprocess", "--schema", "denver", "--input", "side.json"], b"{}\n\xff\n",
+                     "side.json", id="raw-not-utf8"),
+        pytest.param(["preprocess", "--schema", "denver", "--input", "side.json"], "0\n", "line 1",
+                     id="raw-not-object"),
     ])
     def test_malformed_side_file_names_it(self, pipeline, capsys, monkeypatch, argv, content, named):
         monkeypatch.chdir(pipeline)
-        (pipeline / "side.json").write_text(content, encoding="utf-8")
+        (pipeline / "side.json").write_bytes(content if isinstance(content, bytes) else content.encode())
         assert main(argv + ["--output", "out"]) == 2
         assert named in assert_one_line_error(capsys, "error: ")
         assert not (pipeline / "out").exists()
@@ -334,6 +360,29 @@ class TestExitCodes:
         assert code == 1
         assert_one_line_error(capsys, "usage error: ")
         assert not (pipeline / "cv.json").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["evaluate", "--model", "nb", "--folds", "1"],
+        ["evaluate", "--model", "dt", "--max-leaves", "1"],
+        ["evaluate", "--model", "nb", "--alpha", "-1"],
+        ["train", "--model", "nb", "--alpha", "nan"],
+        ["train", "--model", "dt", "--max-leaves", "1"],
+        ["train", "--model", "nb", "--train-fraction", "1.5"],
+        ["train", "--model", "nb", "--train-fraction", "0"],
+        ["stats", "--top", "-1", "--middle", "0", "--bottom", "0"],
+        ["demographics", "--demographics", "demo.csv", "--top", "0"],
+        ["demographics", "--demographics", "demo.csv", "--bottom", "0"],
+        ["stats", "--attribute", "day", "--seed", "1"],
+        ["ingest", "--schema", "denver", "--input", "denver.csv", "--threads", "2"],
+        ["train", "--model", "nb", "--threads", "2"],
+        ["preprocess", "--schema", "denver", "--input", "raw.jsonl", "--max-reject-fraction", "nan"],
+    ], ids=" ".join)
+    def test_out_of_range_or_foreign_flag_is_usage_error(self, pipeline, capsys, monkeypatch, flags):
+        monkeypatch.chdir(pipeline)
+        dataset = [] if flags[0] in ("ingest", "preprocess") else ["--dataset", "unified.jsonl"]
+        assert main([*flags, *dataset, "--output", "out"]) == 1
+        assert_one_line_error(capsys, "usage error: ")
+        assert not (pipeline / "out").exists()
 
     @pytest.mark.parametrize("model", [
         "[]",
@@ -349,6 +398,40 @@ class TestExitCodes:
                      "--time", "T6", "--location", "cbd"])
         assert code == 2
         assert_one_line_error(capsys, "error: ")
+
+
+class TestWholeOutputs:
+    """A run's output files appear whole or not at all."""
+
+    @pytest.mark.parametrize("argv, code, target", [
+        (["mine", "--dataset", "unified.jsonl", "--min-sup", "0.3", "--summary", "nodir/s.json"],
+         2, "patterns.csv"),
+        (["evaluate", "--dataset", "unified.jsonl", "--model", "nb", "--folds", "3",
+          "--output", "cv.json", "--csv", "nodir/m.csv"], 2, "cv.json"),
+        (["train", "--dataset", "unified.jsonl", "--model", "nb", "--train-fraction", "1.0",
+          "--eval-report", "h.json"], 1, "model.json"),
+    ])
+    def test_failed_run_writes_no_output(self, pipeline, monkeypatch, argv, code, target):
+        monkeypatch.chdir(pipeline)
+        assert main(argv) == code
+        assert not (pipeline / target).exists()
+        (pipeline / target).write_bytes(b"kept\n")
+        assert main(argv) == code
+        assert (pipeline / target).read_bytes() == b"kept\n"
+        assert not list(pipeline.rglob("*.tmp"))
+
+    def test_outputs_replace_old_files_whole(self, pipeline, monkeypatch):
+        monkeypatch.chdir(pipeline)
+        (pipeline / "p.csv").write_text("x" * 10000, encoding="utf-8")
+        assert main(["mine", "--dataset", "unified.jsonl", "--min-sup", "0.3", "--output", "p.csv"]) == 0
+        assert read(pipeline / "p.csv").startswith("location,day,time,support,count\n")
+        assert json.loads(read(pipeline / "p.summary.json"))["dataset_size"] == 9
+        assert not list(pipeline.rglob("*.tmp"))
+
+    def test_device_target_is_written_in_place(self, pipeline):
+        assert main(["mine", "--dataset", str(pipeline / "unified.jsonl"), "--min-sup", "0.3",
+                     "--output", os.devnull, "--summary", os.devnull]) == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
 class TestDashMeansStdout:
@@ -470,3 +553,127 @@ class TestConfigFile:
         ) == 0
         assert (pipeline / "explicit.csv").exists()
         assert read(pipeline / "explicit.csv") == read(pipeline / "from_config.csv")
+
+
+# --- CLI fuzzing ----------------------------------------------------------------
+
+_, COMMANDS = build_parser()
+FUZZ_BASE = ("denver.csv", "demo.csv", "raw.jsonl", "unified.jsonl", "nb.json")  # made once per module
+FUZZ_FILES = (*FUZZ_BASE, "config.json", "random")  # written for each case
+FUZZ_OUTPUTS = ("out.a", "out.b", "-", "nodir/out", "dir", "unified.jsonl")
+FUZZ_VALUES = ("0", "-1", "1.5", "nan", "", "x", "missing", "dir", *FUZZ_FILES)
+# Values each flag plausibly takes, so that most runs get past the parser.
+PLAUSIBLE = {
+    "schema": ("denver", "la"), "input": ("denver.csv", "raw.jsonl", "random"),
+    "dataset": ("unified.jsonl", "random"), "demographics": ("demo.csv", "random"),
+    "columns": ("random",), "mapping": ("random",), "model": ("nb.json", "random"),
+    "config": ("config.json",), "month": ("June", "january"), "day": ("Friday",),
+    "time": ("T6", "t1"), "location": ("five-points", "cbd"), "year": ("2014", "2015"),
+    "attribute": ("day", "type", "location", "hour"), "rows": ("type", "month"), "cols": ("day", "time"),
+    "top": ("0", "1", "3"), "middle": ("0", "2"), "bottom": ("1", "3"), "min_sup": ("0.1", "0.3", "1"),
+    "min_count": ("1", "3", "9"), "alpha": ("0", "1", "0.5"), "max_leaves": ("2", "10"),
+    "folds": ("2", "3"), "train_fraction": ("0.5", "0.8", "1.0"), "seed": ("1", "42"),
+    "threads": ("1", "3"), "max_reject_fraction": ("0.5", "1"), "exclude": ("theft",),
+}
+
+
+# Flags that go together: most cases pick one group for these subcommands.
+MODES = {"stats": [("attribute",), ("rows", "cols"), ("top", "middle", "bottom")],
+         "mine": [("min_sup",), ("min_count",)]}
+
+
+def flag_value(action, rnd):
+    if action.nargs == 0:  # an on/off switch takes a value only in a config file
+        return rnd.random() < 0.5
+    if rnd.random() < 0.15:
+        return rnd.choice(FUZZ_VALUES)
+    if action.choices:
+        return rnd.choice(action.choices)
+    if action.dest in ("output", "report", "summary", "eval_report", "csv", "json"):
+        return rnd.choice(FUZZ_OUTPUTS)
+    return rnd.choice(PLAUSIBLE[action.dest])
+
+
+@st.composite
+def fuzz_cases(draw):
+    """argv over the real flags of one subcommand, plus the text of its config file."""
+    rnd = draw(st.randoms(use_true_random=True))
+    name = rnd.choice(sorted(COMMANDS))
+    flags = [a for a in COMMANDS[name]._actions if a.option_strings and a.dest != "help"]
+    mode = rnd.choice(MODES[name]) if name in MODES and rnd.random() < 0.9 else ()
+    argv = [name]
+    for action in flags:
+        if action.required or action.dest in mode or rnd.random() < 0.2:
+            argv.append(action.option_strings[0])
+            if action.nargs != 0:
+                argv.append(flag_value(action, rnd))
+    if rnd.random() < 0.1:
+        argv += rnd.choice([["--seed", "1"], ["--threads", "2"], ["--bogus"]])
+    config = {}
+    for action in rnd.sample(flags, min(len(flags), rnd.randint(0, 2))):
+        config[action.dest] = rnd.choice([flag_value(action, rnd), 0, 2.5, True, None, ["x"]])
+    if rnd.random() < 0.1:
+        config["seed" if name in ("train", "evaluate") else "bogus"] = 1
+    return argv, json.dumps(config)
+
+
+# Random bytes, or the start of a valid file with a few random bytes after it.
+fuzz_contents = st.one_of(
+    st.binary(max_size=120),
+    st.tuples(st.sampled_from(FUZZ_BASE), st.integers(0, 1500), st.binary(max_size=6)),
+)
+
+
+def tree(root: Path) -> dict[str, bytes | None]:
+    return {str(p.relative_to(root)): None if p.is_dir() else p.read_bytes() for p in root.rglob("*")}
+
+
+@contextlib.contextmanager
+def working_dir(path: Path):
+    cwd = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(cwd)
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    work = tmp_path_factory.mktemp("fuzz")
+    (work / "denver.csv").write_text(DENVER_CSV, encoding="utf-8")
+    (work / "demo.csv").write_text(DEMO_CSV, encoding="utf-8")
+    with working_dir(work):
+        assert main(["ingest", "--schema", "denver", "--input", "denver.csv", "--output", "raw.jsonl"]) == 0
+        assert main(["preprocess", "--schema", "denver", "--input", "raw.jsonl",
+                     "--output", "unified.jsonl"]) == 0
+        assert main(["train", "--dataset", "unified.jsonl", "--model", "nb", "--output", "nb.json"]) == 0
+    return {name: (work / name).read_bytes() for name in FUZZ_BASE}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=fuzz_cases(), content=fuzz_contents)
+def test_fuzzed_command_line(fuzz_files, case, content):
+    """Any argv over the real flags and small random files: exit 0, or 1 or 2 with a
+    one-line message; no temp file left behind, and a failed run changes no file."""
+    argv, config = case
+    if isinstance(content, tuple):
+        name, cut, junk = content
+        content = fuzz_files[name][:cut] + junk
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for name, data in {**fuzz_files, "config.json": config.encode(), "random": content}.items():
+            (work / name).write_bytes(data)
+        (work / "dir").mkdir()
+        before = tree(work)
+        stderr = io.StringIO()
+        with working_dir(work), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        after = tree(work)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in stderr.getvalue()
+    assert code == 0 or stderr.getvalue().count("\n") == 1, stderr.getvalue()
+    assert not [name for name in after if name.endswith(".tmp")], argv
+    if code != 0:
+        assert after == before, (argv, stderr.getvalue())
