@@ -18,6 +18,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Hashable, Mapping, Sequence, TextIO, Union
 
 from .errors import AllZeroCountsError, DatasetTooSmallError, EmptyTrainingSetError
@@ -29,6 +30,7 @@ from .vocab import (
 FEATURES = ("month", "day", "time", "location")
 
 CLASSES = tuple(CrimeCategory)
+_crime_type = attrgetter("crime_type")
 
 
 @dataclass(frozen=True)
@@ -270,7 +272,7 @@ class _GrowNode:
 
     def __init__(self, records, creation):
         self.records = records
-        self.counts = Counter(r.crime_type for r in records)
+        self.counts = Counter(map(_crime_type, records))
         self.creation = creation
         self.best = _best_split(records, self.counts)
         self.children: tuple | None = None  # (feature, value, gain, true_node, false_node)
@@ -290,10 +292,11 @@ def _best_split(records, counts):
     total = len(records)
     best = None
     for feature in FEATURES:
-        read = ATTRIBUTES[feature].read
+        # Pairs counted in C; first-seen order keeps entropy's summation order.
+        pairs = Counter(zip(map(ATTRIBUTES[feature].read, records), map(_crime_type, records)))
         by_value: dict[str, Counter] = {}
-        for r in records:
-            by_value.setdefault(read(r), Counter())[r.crime_type] += 1
+        for (value, crime_type), n in pairs.items():
+            by_value.setdefault(value, Counter())[crime_type] = n
         for value in sorted(by_value, key=lambda v: value_order_key(feature, v)):
             true_counts = by_value[value]
             n_true = sum(true_counts.values())
@@ -354,6 +357,14 @@ def dt_predict(tree: DecisionTree, x: Features) -> CrimeCategory:
     while isinstance(node, TreeSplit):
         node = node.if_true if feature_of(x, node.feature) == node.value else node.if_false
     return node.majority
+
+
+def fit_model(model_kind: str, train: Sequence[UnifiedCrimeRecord], *, alpha: float = 1.0,
+              max_leaves: int = 10) -> NaiveBayesModel | DecisionTree:
+    """Train the classifier that ``model_kind`` names: ``"nb"`` or ``"dt"``."""
+    if model_kind not in ("nb", "dt"):
+        raise ValueError(f"model_kind must be 'nb' or 'dt', got {model_kind!r}")
+    return nb_train(train, alpha=alpha) if model_kind == "nb" else dt_train(train, max_leaves=max_leaves)
 
 
 # --- model serialization --------------------------------------------------------
@@ -464,8 +475,9 @@ def save_model(model: NaiveBayesModel | DecisionTree, fp: TextIO) -> None:
 
 def load_model(fp: TextIO) -> NaiveBayesModel | DecisionTree:
     """Read a saved model; any malformed content raises ``ValueError``."""
+    text = fp.read()  # undecodable bytes raise UnicodeDecodeError for the caller to name the file
     try:
-        obj = json.load(fp)
+        obj = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise ValueError(f"malformed model: {exc}") from None
     schema = obj.get("schema") if isinstance(obj, dict) else None

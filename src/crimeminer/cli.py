@@ -328,16 +328,11 @@ def _cmd_train(args):
         train, test = classify.split_train_test(dataset, spec)
     if args.eval_report is not None and not test:
         raise UsageError("--eval-report needs --train-fraction < 1.0")
-    if args.model == "nb":
-        model = classify.nb_train(train, alpha=args.alpha)
-    else:
-        model = classify.dt_train(train, max_leaves=args.max_leaves)
+    model = classify.fit_model(args.model, train, alpha=args.alpha, max_leaves=args.max_leaves)
     outputs = [(args.output, functools.partial(classify.save_model, model))]
     if args.eval_report is not None:
         from . import evaluate
-        report = evaluate.evaluate_split(
-            train, test, args.model, alpha=args.alpha, max_leaves=args.max_leaves
-        )
+        report = evaluate.evaluate_model(model, test)
         outputs.append((args.eval_report, functools.partial(evaluate.write_report_json, report)))
     return outputs
 

@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence, TextIO
 
-from .classify import CLASSES, dt_predict, dt_train, nb_predict, nb_train
+from .classify import CLASSES, NaiveBayesModel, dt_predict, fit_model, nb_predict
 from .errors import (
     EmptyInputError,
     EmptyMatrixError,
@@ -116,20 +116,25 @@ def evaluate_split(
     max_leaves: int = 10,
 ) -> EvaluationReport:
     """Train on one set, predict the other, and report."""
-    actual, predicted = _fit_predict(train, test, model_kind, alpha, max_leaves)
-    return classification_report(ConfusionMatrix.from_pairs(actual, predicted))
+    return classification_report(_fit_predict(train, test, model_kind, alpha, max_leaves))
 
 
-def _fit_predict(train, test, model_kind, alpha, max_leaves):
-    if model_kind == "nb":
-        model = nb_train(train, alpha=alpha)
+def evaluate_model(model, test: Sequence[UnifiedCrimeRecord]) -> EvaluationReport:
+    """Predict the test set with an already trained model (either kind), and report."""
+    return classification_report(_confusion(model, test))
+
+
+def _fit_predict(train, test, model_kind, alpha, max_leaves) -> ConfusionMatrix:
+    return _confusion(fit_model(model_kind, train, alpha=alpha, max_leaves=max_leaves), test)
+
+
+def _confusion(model, test) -> ConfusionMatrix:
+    """Actual against predicted class of every test record."""
+    if isinstance(model, NaiveBayesModel):
         predicted = [nb_predict(model, r)[0] for r in test]
-    elif model_kind == "dt":
-        tree = dt_train(train, max_leaves=max_leaves)
-        predicted = [dt_predict(tree, r) for r in test]
     else:
-        raise ValueError(f"model_kind must be 'nb' or 'dt', got {model_kind!r}")
-    return [r.crime_type for r in test], predicted
+        predicted = [dt_predict(model, r) for r in test]
+    return ConfusionMatrix.from_pairs([r.crime_type for r in test], predicted)
 
 
 def make_fold_indices(n: int, k: int, seed: int) -> list[list[int]]:
@@ -186,23 +191,16 @@ def cross_validate(
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run_fold, folds))
+            matrices = list(pool.map(run_fold, folds))
     else:
-        outcomes = [run_fold(fold) for fold in folds]
+        matrices = [run_fold(fold) for fold in folds]
 
-    fold_accuracies = []
-    pooled_actual: list[CrimeCategory] = []
-    pooled_predicted: list[CrimeCategory] = []
-    for actual, predicted in outcomes:
-        hits = sum(1 for a, p in zip(actual, predicted) if a == p)
-        fold_accuracies.append(hits / len(actual))
-        pooled_actual.extend(actual)
-        pooled_predicted.extend(predicted)
-    report = classification_report(ConfusionMatrix.from_pairs(pooled_actual, pooled_predicted))
+    fold_accuracies = tuple(m.trace / m.total for m in matrices)
+    pooled = tuple(tuple(map(sum, zip(*rows))) for rows in zip(*(m.cells for m in matrices)))
     return CrossValidationResult(
         mean_accuracy=sum(fold_accuracies) / k,
-        fold_accuracies=tuple(fold_accuracies),
-        report=report,
+        fold_accuracies=fold_accuracies,
+        report=classification_report(ConfusionMatrix(cells=pooled)),
     )
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from crimeminer.classify import FEATURES, FeatureVector, feature_of
 from crimeminer.preprocess import (
     MONTH_NAMES,
+    TIME_BIN_ORDER,
     WEEKDAY_NAMES,
     CrimeCategory,
     UnifiedCrimeRecord,
@@ -105,3 +107,38 @@ def brute_force_posterior(train, x: FeatureVector, alpha: float) -> dict[CrimeCa
     if total == 0.0:
         return {c: 1.0 / len(joint) for c in joint}
     return {c: p / total for c, p in joint.items()}
+
+
+def brute_force_best_split(records):
+    """The tree's best split, by listing every predicate and partitioning.
+
+    Every ``feature == value`` predicate is listed in ``FEATURES`` order,
+    then canonical value order (locations alphabetically). Its information
+    gain comes from plain class counts of the two explicit partitions; a
+    partition independent of the class (equal class proportions on both
+    sides, checked in integers) has gain exactly 0. Returns every
+    ``(gain, feature, value)`` within 1e-12 of the largest gain, in listing
+    order, or ``[]`` when no gain is positive.
+    """
+    def bits(labels):
+        return -sum(k / len(labels) * math.log2(k / len(labels))
+                    for k in (labels.count(c) for c in set(labels)))
+
+    orders = {"month": MONTH_NAMES, "day": WEEKDAY_NAMES,
+              "time": tuple(b.value for b in TIME_BIN_ORDER)}
+    labels = [r.crime_type for r in records]
+    n = len(records)
+    listed = []
+    for feature in FEATURES:
+        present = {feature_of(r, feature) for r in records}
+        for value in [v for v in orders[feature] if v in present] if feature in orders else sorted(present):
+            true_side = [r.crime_type for r in records if feature_of(r, feature) == value]
+            false_side = [r.crime_type for r in records if feature_of(r, feature) != value]
+            if all(true_side.count(c) * n == len(true_side) * labels.count(c) for c in set(labels)):
+                gain = 0.0
+            else:
+                children = len(true_side) * bits(true_side) + len(false_side) * bits(false_side)
+                gain = bits(labels) - children / n
+            listed.append((gain, feature, value))
+    top = max(gain for gain, _, _ in listed)
+    return [entry for entry in listed if entry[0] >= top - 1e-12] if top > 0.0 else []

@@ -3,12 +3,19 @@
 import io
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_posterior, make_record, unified_records
+from conftest import (
+    brute_force_best_split,
+    brute_force_posterior,
+    datasets,
+    make_record,
+    unified_records,
+)
 from crimeminer.classify import (
     FEATURES,
     DecisionTree,
@@ -16,6 +23,7 @@ from crimeminer.classify import (
     SplitSpec,
     TreeLeaf,
     TreeSplit,
+    _best_split,
     dt_predict,
     dt_train,
     entropy,
@@ -323,6 +331,23 @@ class TestDecisionTree:
             walk(node.if_false, path | {predicate})
 
         walk(tree.root, set())
+
+
+class TestBestSplit:
+    @settings(max_examples=300, deadline=None)
+    @given(datasets)
+    def test_matches_brute_force_partitions(self, records):
+        found = _best_split(records, Counter(r.crime_type for r in records))
+        best = brute_force_best_split(records)
+        if not best:
+            assert found is None
+            return
+        assert found is not None
+        assert found[0] == pytest.approx(best[0][0], rel=0, abs=1e-12)
+        # A predicate with the largest gain. Among predicates whose gains are
+        # equal in exact arithmetic the last bits decide, not the listing
+        # order: ``entropy`` sums each side's classes in its own count order.
+        assert found[1:] in [(feature, value) for _, feature, value in best]
 
 
 class TestModelSerialization:

@@ -15,9 +15,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from crimeminer import ingestion, preprocess, vocab
+from crimeminer import classify, evaluate, ingestion, preprocess, vocab
 from crimeminer.cli import build_parser, main
 from crimeminer.preprocess import read_unified_jsonl
+from crimeminer.synthetic import generate_synthetic_dataset
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -186,6 +187,32 @@ class TestPipeline:
             "White Collar Crime",
         }
 
+    @pytest.mark.parametrize("kind", ["nb", "dt"])
+    def test_train_eval_report_scores_the_one_fitted_model(self, tmp_path, monkeypatch, kind):
+        dataset = generate_synthetic_dataset()[:300]
+        with open(tmp_path / "unified.jsonl", "w", encoding="utf-8") as fp:
+            preprocess.write_unified_jsonl(dataset, fp)
+        fits = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                fits.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("nb_train", "dt_train"):
+            wrapper = counted(getattr(classify, name))
+            for module in (classify, evaluate):  # wherever a caller may look the name up
+                monkeypatch.setattr(module, name, wrapper, raising=False)
+        assert main(["train", "--dataset", str(tmp_path / "unified.jsonl"), "--model", kind,
+                     "--seed", "7", "--output", str(tmp_path / "model.json"),
+                     "--eval-report", str(tmp_path / "holdout.json")]) == 0
+        assert fits == [f"{kind}_train"]
+        train, test = classify.split_train_test(dataset, classify.SplitSpec(0.8, seed=7))
+        expected = io.StringIO()
+        evaluate.write_report_json(evaluate.evaluate_split(train, test, kind), expected)
+        assert (tmp_path / "holdout.json").read_bytes() == expected.getvalue().encode()
+
     def test_evaluate_cross_validation(self, pipeline):
         out = pipeline / "cv.json"
         assert main(
@@ -345,6 +372,8 @@ class TestExitCodes:
                      "side.json", id="raw-not-utf8"),
         pytest.param(["preprocess", "--schema", "denver", "--input", "side.json"], "0\n", "line 1",
                      id="raw-not-object"),
+        pytest.param(["predict", "--model", "side.json", "--month", "June", "--day", "Friday",
+                      "--time", "T6", "--location", "cbd"], b"\xff", "side.json", id="model-not-utf8"),
     ])
     def test_malformed_side_file_names_it(self, pipeline, capsys, monkeypatch, argv, content, named):
         monkeypatch.chdir(pipeline)

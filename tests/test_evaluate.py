@@ -1,5 +1,6 @@
 """Confusion matrices, metric reports, and cross-validation."""
 
+import hashlib
 import io
 import random
 
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_record
+from crimeminer.classify import SplitSpec, dt_train, save_model, split_train_test
 from crimeminer.errors import (
     EmptyInputError,
     EmptyMatrixError,
@@ -20,9 +22,11 @@ from crimeminer.evaluate import (
     cross_validate,
     evaluate_split,
     make_fold_indices,
+    write_cv_result_json,
     write_report_csv,
+    write_report_json,
 )
-from crimeminer.preprocess import CrimeCategory
+from crimeminer.preprocess import MONTH_NAMES, WEEKDAY_NAMES, CrimeCategory
 from crimeminer.synthetic import generate_synthetic_dataset
 
 A, DA, OC, PD, TH, WC = CrimeCategory
@@ -192,6 +196,41 @@ class TestEvaluateSplit:
         report = evaluate_split(dataset[:160], dataset[160:], "nb", alpha=0.01)
         assert report.matrix.total == 40
         assert report.accuracy == pytest.approx(1.0)
+
+
+def pinned_tree_dataset():
+    """1500 seeded records over 24 locations, each with its own class mix,
+    so a 40-leaf cap grows a deep tree (the fixture file grows 3 leaves)."""
+    rng = random.Random(2015)
+    classes = list(CrimeCategory)
+    weights = {f"nbhd-{i:02d}": [rng.random() ** 2 for _ in classes] for i in range(24)}
+    return [make_record(crime_type=rng.choices(classes, weights[location])[0],
+                        month=rng.choice(MONTH_NAMES), day=rng.choice(WEEKDAY_NAMES),
+                        hour=rng.randrange(24), location=location)
+            for location in rng.choices(sorted(weights), k=1500)]
+
+
+def sha256_of(write, obj) -> str:
+    buffer = io.StringIO()
+    write(obj, buffer)
+    return hashlib.sha256(buffer.getvalue().encode()).hexdigest()
+
+
+class TestPinnedTreeBytes:
+    """Tree model, holdout and CV bytes as the per-record split search wrote them."""
+
+    def test_model_holdout_and_cv_bytes(self):
+        dataset = pinned_tree_dataset()
+        tree = dt_train(dataset, max_leaves=40)
+        assert tree.leaf_count >= 30
+        assert sha256_of(save_model, tree) == (
+            "327e5d503cda507ee70bccd003bd6c53f1895838a45635c9189ed13f6b113319")
+        train, test = split_train_test(dataset, SplitSpec(0.8, seed=42))
+        assert sha256_of(write_report_json, evaluate_split(train, test, "dt", max_leaves=40)) == (
+            "5e2502bf479c926b953b691232f0acc1c3bd19a14b0f1c954cb71739f4dcdb74")
+        cv = cross_validate(dataset, "dt", k=5, seed=42, max_leaves=40)
+        assert sha256_of(write_cv_result_json, cv) == (
+            "4814afac0ba39badcb452b22884078e30a1c48d09b066220d6deca7d9aef3c9f")
 
 
 class TestReportOutput:
