@@ -19,12 +19,11 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Hashable, Mapping, Sequence, TextIO, Union
+from typing import Hashable, Iterable, Mapping, Sequence, TextIO, Union
 
 from .errors import AllZeroCountsError, DatasetTooSmallError, EmptyTrainingSetError
 from .vocab import (
     ATTRIBUTES, MONTH_RANK, WEEKDAY_RANK, CrimeCategory, TimeBin, UnifiedCrimeRecord,
-    value_order_key,
 )
 
 FEATURES = ("month", "day", "time", "location")
@@ -98,6 +97,62 @@ def split_train_test(dataset: Sequence, spec: SplitSpec) -> tuple[list, list]:
     return [dataset[i] for i in train_indices], [dataset[i] for i in test_indices]
 
 
+# --- integer-coded datasets ------------------------------------------------------
+
+CLASS_INDEX = {c: i for i, c in enumerate(CLASSES)}  # each class's position in CLASSES
+_CLASS_BITS = 3  # a joint code is value << 3 | class index: six classes fit
+_CLASS_MASK = (1 << _CLASS_BITS) - 1
+
+
+class Dataset:
+    """The four features and the class of records, as integer columns.
+
+    ``values[f]`` lists feature f's values in canonical order (locations
+    sorted), ``codes[f]`` maps each value to its position there, and
+    ``columns[f][i]`` is record i's position. ``labels[i]`` is record i's
+    class as an index into ``CLASSES``; ``joint[f][i]`` packs both as
+    ``value << 3 | label``. ``rows`` lists the records a dataset holds, in
+    order: a subset shares every column and keeps its own ``rows``.
+    """
+
+    __slots__ = ("values", "codes", "columns", "labels", "joint", "rows")
+
+    def __init__(self, values, codes, columns, labels, joint, rows):
+        self.values = values
+        self.codes = codes
+        self.columns = columns
+        self.labels = labels
+        self.joint = joint
+        self.rows = rows
+
+    @classmethod
+    def from_records(cls, records: Sequence[UnifiedCrimeRecord]) -> "Dataset":
+        labels = list(map(CLASS_INDEX.__getitem__, map(_crime_type, records)))
+        values, codes, columns, joint = {}, {}, {}, {}
+        for feature in FEATURES:
+            attribute = ATTRIBUTES[feature]
+            raw = list(map(attribute.read, records))
+            values[feature] = attribute.order or tuple(sorted(set(raw)))
+            codes[feature] = {v: i for i, v in enumerate(values[feature])}
+            columns[feature] = list(map(codes[feature].__getitem__, raw))
+            joint[feature] = [v << _CLASS_BITS | c for v, c in zip(columns[feature], labels)]
+        return cls(values, codes, columns, labels, joint, range(len(records)))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def subset(self, indices: Sequence[int]) -> "Dataset":
+        """The records at ``indices`` (positions in this dataset), in that order."""
+        rows = self.rows
+        return Dataset(self.values, self.codes, self.columns, self.labels, self.joint,
+                       [rows[i] for i in indices])
+
+
+def as_dataset(data: Dataset | Sequence[UnifiedCrimeRecord]) -> Dataset:
+    """What training and scoring run on: a record list is encoded once, here."""
+    return data if isinstance(data, Dataset) else Dataset.from_records(data)
+
+
 # --- Naive Bayes --------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -122,30 +177,33 @@ def _log(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
 
 
-def nb_train(train: Sequence[UnifiedCrimeRecord], alpha: float = 1.0) -> NaiveBayesModel:
+def nb_train(train: Dataset | Sequence[UnifiedCrimeRecord], alpha: float = 1.0) -> NaiveBayesModel:
     if not train:
         raise EmptyTrainingSetError("cannot train Naive Bayes on an empty set")
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    n = len(train)
-    class_counts = Counter(r.crime_type for r in train)
-    log_prior = {c: _log(class_counts.get(c, 0) / n) for c in CLASSES}
+    data = as_dataset(train)
+    rows = data.rows
+    n = len(rows)
+    class_counts = Counter(map(data.labels.__getitem__, rows))
+    log_prior = {c: _log(class_counts.get(k, 0) / n) for k, c in enumerate(CLASSES)}
 
     vocab: dict[str, tuple[str, ...]] = {}
     cond_log: dict[str, dict[CrimeCategory, dict[str, float]]] = {}
     unseen_log: dict[str, dict[CrimeCategory, float]] = {}
     for feature in FEATURES:
-        read = ATTRIBUTES[feature].read
-        values = sorted({read(r) for r in train}, key=lambda v: value_order_key(feature, v))
+        joint = Counter(map(data.joint[feature].__getitem__, rows))
+        codes = sorted({j >> _CLASS_BITS for j in joint})
+        values = [data.values[feature][v] for v in codes]
         vocab[feature] = tuple(values)
-        joint = Counter((read(r), r.crime_type) for r in train)
         per_class: dict[CrimeCategory, dict[str, float]] = {}
         per_class_unseen: dict[CrimeCategory, float] = {}
-        for c in CLASSES:
-            denominator = class_counts.get(c, 0) + alpha * (len(values) + 1)
+        for k, c in enumerate(CLASSES):
+            denominator = class_counts.get(k, 0) + alpha * (len(values) + 1)
             if denominator > 0:
                 table = {
-                    v: _log((joint.get((v, c), 0) + alpha) / denominator) for v in values
+                    name: _log((joint.get(v << _CLASS_BITS | k, 0) + alpha) / denominator)
+                    for v, name in zip(codes, values)
                 }
                 per_class_unseen[c] = _log(alpha / denominator)
             else:  # alpha == 0 and class absent: no mass anywhere
@@ -210,8 +268,14 @@ def entropy(label_counts: Mapping[Hashable, int]) -> float:
     total = sum(label_counts.values())
     if total == 0:
         raise AllZeroCountsError("entropy of an empty distribution is undefined")
+    return _bits(label_counts.values(), total)
+
+
+def _bits(counts: Iterable[int], total: int) -> float:
+    """``entropy`` of counts known to be non-negative and sum to ``total > 0``,
+    summed in their order."""
     h = 0.0
-    for count in label_counts.values():
+    for count in counts:
         if count:
             p = count / total
             h -= p * math.log2(p)
@@ -261,25 +325,26 @@ class DecisionTree:
         return [node for node in self._nodes() if isinstance(node, TreeSplit)]
 
 
-def _majority(counts: Mapping[CrimeCategory, int]) -> CrimeCategory:
+def _majority(counts: Mapping[int, int]) -> int:
     return min(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
 
 
 class _GrowNode:
     """Frontier bookkeeping during best-first growth."""
 
-    __slots__ = ("records", "counts", "creation", "best", "children")
+    __slots__ = ("rows", "counts", "creation", "best", "children")
 
-    def __init__(self, records, creation):
-        self.records = records
-        self.counts = Counter(map(_crime_type, records))
+    def __init__(self, data: Dataset, rows, creation):
+        self.rows = rows
+        self.counts = Counter(map(data.labels.__getitem__, rows))
         self.creation = creation
-        self.best = _best_split(records, self.counts)
+        self.best = _best_split(data, rows, self.counts)
         self.children: tuple | None = None  # (feature, value, gain, true_node, false_node)
 
 
-def _best_split(records, counts):
-    """Highest-gain (feature == value) predicate, or None if no gain is positive.
+def _best_split(data: Dataset, rows, counts):
+    """Highest-gain (feature == value) predicate over ``data``'s records at
+    ``rows`` (class index counts ``counts``), or None if no gain is positive.
 
     Ties break by feature order month < day < time < location, then by the
     feature's canonical value order (both enforced by iteration order with a
@@ -289,28 +354,31 @@ def _best_split(records, counts):
     parent_entropy = entropy(counts)
     if parent_entropy == 0.0:
         return None
-    total = len(records)
+    total = len(rows)
+    parent = counts.items()
     best = None
     for feature in FEATURES:
-        # Pairs counted in C; first-seen order keeps entropy's summation order.
-        pairs = Counter(zip(map(ATTRIBUTES[feature].read, records), map(_crime_type, records)))
-        by_value: dict[str, Counter] = {}
-        for (value, crime_type), n in pairs.items():
-            by_value.setdefault(value, Counter())[crime_type] = n
-        for value in sorted(by_value, key=lambda v: value_order_key(feature, v)):
+        # Joint (value, class) codes counted in C. Each histogram keeps its
+        # classes in first-seen order and the false side keeps the parent's,
+        # so ``_bits`` sums every entropy in the per-record search's order.
+        by_value: dict[int, dict[int, int]] = {}
+        for joint, n in Counter(map(data.joint[feature].__getitem__, rows)).items():
+            by_value.setdefault(joint >> _CLASS_BITS, {})[joint & _CLASS_MASK] = n
+        for value in sorted(by_value):
             true_counts = by_value[value]
             n_true = sum(true_counts.values())
             if n_true == total:
                 continue
-            false_counts = counts - true_counts
-            children = n_true * entropy(true_counts) + (total - n_true) * entropy(false_counts)
+            false_counts = [n - true_counts.get(label, 0) for label, n in parent]
+            children = (n_true * _bits(true_counts.values(), n_true)
+                        + (total - n_true) * _bits(false_counts, total - n_true))
             gain = parent_entropy - children / total
             if gain > 0.0 and (best is None or gain > best[0]):
-                best = (gain, feature, value)
+                best = (gain, feature, data.values[feature][value])
     return best
 
 
-def dt_train(train: Sequence[UnifiedCrimeRecord], max_leaves: int = 10) -> DecisionTree:
+def dt_train(train: Dataset | Sequence[UnifiedCrimeRecord], max_leaves: int = 10) -> DecisionTree:
     """Grow a tree best-first: always split the frontier leaf whose best
     predicate yields the largest information gain, until the leaf cap is hit
     or no split has positive gain. Equal gains go to the earlier-created leaf.
@@ -320,8 +388,9 @@ def dt_train(train: Sequence[UnifiedCrimeRecord], max_leaves: int = 10) -> Decis
     if max_leaves < 2:
         raise ValueError(f"max_leaves must be >= 2, got {max_leaves}")
 
+    data = as_dataset(train)
     creation = 0
-    root = _GrowNode(list(train), creation)
+    root = _GrowNode(data, data.rows, creation)
     frontier = [root]
     n_leaves = 1
     while n_leaves < max_leaves:
@@ -330,11 +399,11 @@ def dt_train(train: Sequence[UnifiedCrimeRecord], max_leaves: int = 10) -> Decis
             break
         node = max(splittable, key=lambda g: (g.best[0], -g.creation))
         gain, feature, value = node.best
-        read = ATTRIBUTES[feature].read
-        true_records = [r for r in node.records if read(r) == value]
-        false_records = [r for r in node.records if read(r) != value]
-        true_child = _GrowNode(true_records, creation + 1)
-        false_child = _GrowNode(false_records, creation + 2)
+        column, code = data.columns[feature], data.codes[feature][value]
+        true_rows = [i for i in node.rows if column[i] == code]
+        false_rows = [i for i in node.rows if column[i] != code]
+        true_child = _GrowNode(data, true_rows, creation + 1)
+        false_child = _GrowNode(data, false_rows, creation + 2)
         creation += 2
         node.children = (feature, value, gain, true_child, false_child)
         frontier.remove(node)
@@ -343,7 +412,8 @@ def dt_train(train: Sequence[UnifiedCrimeRecord], max_leaves: int = 10) -> Decis
 
     def materialize(grow: _GrowNode) -> TreeSplit | TreeLeaf:
         if grow.children is None:
-            return TreeLeaf(counts=dict(sorted(grow.counts.items())), majority=_majority(grow.counts))
+            counts = {CLASSES[label]: n for label, n in sorted(grow.counts.items())}
+            return TreeLeaf(counts=counts, majority=CLASSES[_majority(grow.counts)])
         feature, value, gain, true_child, false_child = grow.children
         return TreeSplit(feature, value, gain, materialize(true_child), materialize(false_child))
 
@@ -359,8 +429,8 @@ def dt_predict(tree: DecisionTree, x: Features) -> CrimeCategory:
     return node.majority
 
 
-def fit_model(model_kind: str, train: Sequence[UnifiedCrimeRecord], *, alpha: float = 1.0,
-              max_leaves: int = 10) -> NaiveBayesModel | DecisionTree:
+def fit_model(model_kind: str, train: Dataset | Sequence[UnifiedCrimeRecord], *,
+              alpha: float = 1.0, max_leaves: int = 10) -> NaiveBayesModel | DecisionTree:
     """Train the classifier that ``model_kind`` names: ``"nb"`` or ``"dt"``."""
     if model_kind not in ("nb", "dt"):
         raise ValueError(f"model_kind must be 'nb' or 'dt', got {model_kind!r}")

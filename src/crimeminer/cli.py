@@ -353,11 +353,14 @@ def _cmd_predict(args):
         time_bin = TimeBin(args.time.strip().upper())
     except ValueError:
         raise UsageError(f"unknown time bin {args.time!r}; expected T1..T6") from None
+    location = normalize_location(args.location)
+    if not location:
+        raise UsageError("location must be non-empty")
     vector = classify.FeatureVector(
         month=_match_name(args.month, MONTH_NAMES, "month"),
         day=_match_name(args.day, WEEKDAY_NAMES, "weekday"),
         time=time_bin,
-        location=normalize_location(args.location),
+        location=location,
     )
     if isinstance(model, classify.NaiveBayesModel):
         predicted, posterior = classify.nb_predict(model, vector)

@@ -5,11 +5,15 @@ from __future__ import annotations
 import csv
 import json
 import random
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence, TextIO
 
-from .classify import CLASSES, NaiveBayesModel, dt_predict, fit_model, nb_predict
+from .classify import (
+    CLASS_INDEX, CLASSES, FEATURES, Dataset, DecisionTree, NaiveBayesModel, TreeLeaf, as_dataset,
+    fit_model,
+)
 from .errors import (
     EmptyInputError,
     EmptyMatrixError,
@@ -18,6 +22,9 @@ from .errors import (
 )
 from .stats import round_half_up
 from .vocab import CrimeCategory, UnifiedCrimeRecord
+
+# Records to score or train on: a ``Dataset`` or a list, encoded once on entry.
+Data = Dataset | Sequence[UnifiedCrimeRecord]
 
 
 @dataclass(frozen=True)
@@ -37,11 +44,16 @@ class ConfusionMatrix:
             raise LengthMismatchError(
                 f"{len(actual)} actual labels vs {len(predicted)} predictions"
             )
-        if not actual:
+        return cls.from_counts(Counter((int(a) - 1, int(p) - 1) for a, p in zip(actual, predicted)))
+
+    @classmethod
+    def from_counts(cls, pairs: Mapping[tuple[int, int], int]) -> "ConfusionMatrix":
+        """From counts of (actual, predicted) pairs of indices into ``CLASSES``."""
+        if not pairs:
             raise EmptyInputError("cannot build a confusion matrix from zero pairs")
         counts = [[0] * len(CLASSES) for _ in CLASSES]
-        for a, p in zip(actual, predicted):
-            counts[int(a) - 1][int(p) - 1] += 1
+        for (a, p), n in pairs.items():
+            counts[a][p] += n
         return cls(cells=tuple(tuple(row) for row in counts))
 
     @property
@@ -108,8 +120,8 @@ def classification_report(matrix: ConfusionMatrix) -> EvaluationReport:
 
 
 def evaluate_split(
-    train: Sequence[UnifiedCrimeRecord],
-    test: Sequence[UnifiedCrimeRecord],
+    train: Data,
+    test: Data,
     model_kind: str,
     *,
     alpha: float = 1.0,
@@ -119,7 +131,7 @@ def evaluate_split(
     return classification_report(_fit_predict(train, test, model_kind, alpha, max_leaves))
 
 
-def evaluate_model(model, test: Sequence[UnifiedCrimeRecord]) -> EvaluationReport:
+def evaluate_model(model, test: Data) -> EvaluationReport:
     """Predict the test set with an already trained model (either kind), and report."""
     return classification_report(_confusion(model, test))
 
@@ -128,13 +140,58 @@ def _fit_predict(train, test, model_kind, alpha, max_leaves) -> ConfusionMatrix:
     return _confusion(fit_model(model_kind, train, alpha=alpha, max_leaves=max_leaves), test)
 
 
-def _confusion(model, test) -> ConfusionMatrix:
+def _confusion(model, test: Data) -> ConfusionMatrix:
     """Actual against predicted class of every test record."""
+    data = as_dataset(test)
+    actual = map(data.labels.__getitem__, data.rows)
     if isinstance(model, NaiveBayesModel):
-        predicted = [nb_predict(model, r)[0] for r in test]
+        predicted = _nb_predicted(model, data)
     else:
-        predicted = [dt_predict(model, r) for r in test]
-    return ConfusionMatrix.from_pairs([r.crime_type for r in test], predicted)
+        predicted = _dt_predicted(model, data)
+    return ConfusionMatrix.from_counts(Counter(zip(actual, predicted)))
+
+
+# Whole-dataset scoring lives here rather than in ``classify``, so that a
+# ``predict`` call, which loads ``classify`` alone, does not compile it.
+
+def _nb_predicted(model: NaiveBayesModel, data: Dataset) -> list[int]:
+    """``nb_predict``'s class of every record, as an index into ``CLASSES``.
+
+    Each score adds the same terms in the same order as ``nb_class_scores``
+    (prior, month, day, time, location), and the first class of the highest
+    score wins, so every prediction is the per-record one.
+    """
+    codes = [list(map(data.columns[f].__getitem__, data.rows)) for f in FEATURES]
+    scores = []
+    for c in model.classes:
+        prior = model.log_prior[c]
+        month, day, time, location = (
+            [model.cond_log[f][c].get(v, model.unseen_log[f][c]) for v in data.values[f]]
+            for f in FEATURES
+        )
+        scores.append([prior + month[m] + day[d] + time[t] + location[loc]
+                       for m, d, t, loc in zip(*codes)])
+    winner = [CLASS_INDEX[c] for c in model.classes]
+    return [winner[row.index(max(row))] for row in zip(*scores)]
+
+
+def _dt_predicted(tree: DecisionTree, data: Dataset) -> list[int]:
+    """``dt_predict``'s class of every record, as an index into ``CLASSES``."""
+    def coded(node):  # a leaf's class index, or (column, code, if_true, if_false)
+        if isinstance(node, TreeLeaf):
+            return CLASS_INDEX[node.majority]
+        code = data.codes[node.feature].get(node.value, -1)  # -1: a value no record has
+        return (data.columns[node.feature], code, coded(node.if_true), coded(node.if_false))
+
+    root = coded(tree.root)
+    predicted = []
+    for i in data.rows:
+        node = root
+        while type(node) is tuple:
+            column, code, if_true, if_false = node
+            node = if_true if column[i] == code else if_false
+        predicted.append(node)
+    return predicted
 
 
 def make_fold_indices(n: int, k: int, seed: int) -> list[list[int]]:
@@ -159,7 +216,7 @@ class CrossValidationResult:
 
 
 def cross_validate(
-    dataset: Sequence[UnifiedCrimeRecord],
+    dataset: Data,
     model_kind: str,
     *,
     k: int = 5,
@@ -182,12 +239,12 @@ def cross_validate(
     if n < k:
         raise TooFewRecordsError(f"{n} records cannot fill {k} folds")
     folds = make_fold_indices(n, k, seed)
+    data = as_dataset(dataset)
 
     def run_fold(fold: list[int]):
         in_fold = set(fold)
-        train = [dataset[i] for i in range(n) if i not in in_fold]
-        test = [dataset[i] for i in fold]
-        return _fit_predict(train, test, model_kind, alpha, max_leaves)
+        train = data.subset([i for i in range(n) if i not in in_fold])
+        return _fit_predict(train, data.subset(fold), model_kind, alpha, max_leaves)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -200,6 +200,36 @@ def unified_from_json_dict(obj: Mapping) -> UnifiedCrimeRecord:
     )
 
 
+# What ``_canonical_record`` accepts, looked up: canonical (type, type_id,
+# time) triples, hours and month and day names.
+_CANONICAL_TYPE_TIME = {
+    (category.label, int(category), time_bin.value): (category, time_bin)
+    for category in CrimeCategory for time_bin in TimeBin
+}
+_HOURS = {hour: hour for hour in range(24)}
+_MONTH_SET = frozenset(MONTH_NAMES)
+_DAY_SET = frozenset(WEEKDAY_NAMES)
+
+
+def _canonical_record(obj) -> UnifiedCrimeRecord | None:
+    """The record of an object with the canonical values that
+    ``unified_to_json_dict`` writes, checked by lookups; None for anything
+    else, which ``unified_from_json_dict`` then accepts or rejects. Whatever
+    this accepts, that accepts as an equal record."""
+    try:
+        category, time_bin = _CANONICAL_TYPE_TIME[obj["type"], obj["type_id"], obj["time"]]
+        hour = _HOURS[obj["hour"]]
+        month, day, year = obj["month"], obj["day"], obj["year"]
+        location = obj["location"].strip()
+        canonical = month in _MONTH_SET and day in _DAY_SET and type(year) is int
+    except (KeyError, TypeError, AttributeError):  # a missing key, or a value of another type
+        return None
+    if not (canonical and location):
+        return None
+    return UnifiedCrimeRecord(crime_type=category, month=month, day=day, time=time_bin,
+                              location=location, year=year, hour=hour)
+
+
 def write_unified_jsonl(records: Iterable[UnifiedCrimeRecord], fp: TextIO) -> None:
     for record in records:
         fp.write(json.dumps(unified_to_json_dict(record), sort_keys=True))
@@ -212,7 +242,8 @@ def read_unified_jsonl(fp: TextIO) -> list[UnifiedCrimeRecord]:
         if not line.strip():
             continue
         try:
-            records.append(unified_from_json_dict(json.loads(line)))
+            obj = json.loads(line)
+            records.append(_canonical_record(obj) or unified_from_json_dict(obj))
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ValueError(f"bad unified record on line {line_number}: {exc}") from exc
     return records

@@ -18,6 +18,7 @@ from conftest import (
 )
 from crimeminer.classify import (
     FEATURES,
+    Dataset,
     DecisionTree,
     FeatureVector,
     SplitSpec,
@@ -337,7 +338,8 @@ class TestBestSplit:
     @settings(max_examples=300, deadline=None)
     @given(datasets)
     def test_matches_brute_force_partitions(self, records):
-        found = _best_split(records, Counter(r.crime_type for r in records))
+        data = Dataset.from_records(records)
+        found = _best_split(data, data.rows, Counter(map(data.labels.__getitem__, data.rows)))
         best = brute_force_best_split(records)
         if not best:
             assert found is None

@@ -274,6 +274,8 @@ class TestExitCodes:
         assert main(base + ["--month", "Juneteenth"]) == 1
         assert main(["predict", "--model", str(model), "--month", "June",
                      "--day", "Friday", "--time", "T9", "--location", "cbd"]) == 1
+        assert main(["predict", "--model", str(model), "--month", "June",
+                     "--day", "Friday", "--time", "T6", "--location", "   "]) == 1
 
     def test_corrupt_dataset_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.jsonl"

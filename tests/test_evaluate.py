@@ -1,15 +1,25 @@
 """Confusion matrices, metric reports, and cross-validation."""
 
+import dataclasses
 import hashlib
 import io
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_record
-from crimeminer.classify import SplitSpec, dt_train, save_model, split_train_test
+from conftest import datasets, make_record
+from crimeminer.classify import (
+    Dataset,
+    SplitSpec,
+    dt_predict,
+    dt_train,
+    nb_predict,
+    nb_train,
+    save_model,
+    split_train_test,
+)
 from crimeminer.errors import (
     EmptyInputError,
     EmptyMatrixError,
@@ -20,6 +30,7 @@ from crimeminer.evaluate import (
     ConfusionMatrix,
     classification_report,
     cross_validate,
+    evaluate_model,
     evaluate_split,
     make_fold_indices,
     write_cv_result_json,
@@ -231,6 +242,52 @@ class TestPinnedTreeBytes:
         cv = cross_validate(dataset, "dt", k=5, seed=42, max_leaves=40)
         assert sha256_of(write_cv_result_json, cv) == (
             "4814afac0ba39badcb452b22884078e30a1c48d09b066220d6deca7d9aef3c9f")
+
+
+class TestPinnedNaiveBayesBytes:
+    """Bayes model, holdout and CV bytes as the per-record training and
+    scoring wrote them, at the default and a small smoothing."""
+
+    @pytest.mark.parametrize("alpha, model_sha, holdout_sha, cv_sha", [
+        (1.0, "4e41815fd170fbc13ef8d0416e254ee4d899e1c757a8d724004cbfa6a639e751",
+         "cc6944bc8227dc45db74f4ca789523789bc3986bf591b537e5f0a1d21ee2988e",
+         "416139f0a49bfcb265d8cae50f20c2506e20f87b4dd7aac4dff9048e24ba4547"),
+        (0.01, "ce830af1428ac7cd67e4990683efc821ddc8b59c0af5aa4e56fd9e8c21f7b757",
+         "cdbcc4caf3e0b9dcaa37637f6819335c2a32405298931a4a1415e1a00169ff36",
+         "8d35da8a921122df341ddb0801c26c4ab83953d7395dfd75ec0754861e78cfaf"),
+    ], ids=["alpha-1", "alpha-0.01"])
+    def test_model_holdout_and_cv_bytes(self, alpha, model_sha, holdout_sha, cv_sha):
+        dataset = pinned_tree_dataset()
+        assert sha256_of(save_model, nb_train(dataset, alpha=alpha)) == model_sha
+        train, test = split_train_test(dataset, SplitSpec(0.8, seed=42))
+        assert sha256_of(write_report_json, evaluate_split(train, test, "nb", alpha=alpha)) == holdout_sha
+        cv = cross_validate(dataset, "nb", k=5, seed=42, alpha=alpha)
+        assert sha256_of(write_cv_result_json, cv) == cv_sha
+
+
+class TestCodedColumns:
+    """Training and scoring on integer codes against the per-record path."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(datasets, datasets, st.sampled_from([0.0, 0.01, 1.0]), st.integers(2, 12), st.data())
+    def test_matches_per_record_prediction_and_training(self, train, test, alpha, max_leaves, data):
+        unseen = data.draw(st.lists(st.booleans(), min_size=len(test), max_size=len(test)))
+        test = [dataclasses.replace(r, location=f"unseen-{i}") if moved else r
+                for i, (r, moved) in enumerate(zip(test, unseen))]
+        pooled = Dataset.from_records(train + test)
+        coded_train = pooled.subset(range(len(train)))
+        coded_test = pooled.subset(range(len(train), len(train) + len(test)))
+        actual = [r.crime_type for r in test]
+        for model, coded_model, predict in [
+            (nb_train(train, alpha=alpha), nb_train(coded_train, alpha=alpha),
+             lambda m, r: nb_predict(m, r)[0]),
+            (dt_train(train, max_leaves=max_leaves), dt_train(coded_train, max_leaves=max_leaves),
+             dt_predict),
+        ]:
+            assert sha256_of(save_model, coded_model) == sha256_of(save_model, model)
+            expected = ConfusionMatrix.from_pairs(actual, [predict(model, r) for r in test])
+            assert evaluate_model(model, test).matrix == expected
+            assert evaluate_model(model, coded_test).matrix == expected
 
 
 class TestReportOutput:

@@ -2,6 +2,7 @@
 
 import datetime as dt
 import io
+import json
 from collections import Counter
 
 import pytest
@@ -21,6 +22,7 @@ from crimeminer.preprocess import (
     CrimeCategory,
     TimeBin,
     TypeMapping,
+    _canonical_record,
     bin_time,
     derive_temporal,
     map_crime_type,
@@ -207,3 +209,44 @@ class TestUnifiedJsonl:
         obj.update(patch)
         with pytest.raises(ValueError):
             unified_from_json_dict(obj)
+
+    @given(unified_records())
+    def test_written_records_take_the_lookup_path(self, record):
+        assert _canonical_record(unified_to_json_dict(record)) == record
+
+    CANONICAL = {"type": "Theft", "type_id": 5, "month": "June", "day": "Friday",
+                 "time": "T6", "location": "cbd", "year": 2014, "hour": 21}
+
+    @pytest.mark.parametrize("line", [
+        pytest.param(json.dumps(CANONICAL), id="canonical"),
+        pytest.param(json.dumps({**CANONICAL, "type_id": "5"}), id="type_id-text"),
+        pytest.param(json.dumps({**CANONICAL, "type_id": 5.0}), id="type_id-float"),
+        pytest.param(json.dumps({**CANONICAL, "type_id": True}), id="type_id-bool"),
+        pytest.param(json.dumps({**CANONICAL, "type": "theft"}), id="type-lowercase"),
+        pytest.param(json.dumps({k: v for k, v in CANONICAL.items() if k != "type"}), id="no-type"),
+        pytest.param(json.dumps({k: v for k, v in CANONICAL.items() if k != "year"}), id="no-year"),
+        pytest.param(json.dumps({**CANONICAL, "year": 2014.0}), id="year-float"),
+        pytest.param(json.dumps({**CANONICAL, "year": "2014"}), id="year-text"),
+        pytest.param(json.dumps({**CANONICAL, "location": " cbd "}), id="location-padded"),
+        pytest.param(json.dumps({**CANONICAL, "location": "   "}), id="location-blank"),
+        pytest.param(json.dumps({**CANONICAL, "location": 7}), id="location-number"),
+        pytest.param(json.dumps({**CANONICAL, "hour": True}), id="hour-bool"),
+        pytest.param(json.dumps({**CANONICAL, "hour": 24}), id="hour-24"),
+        pytest.param(json.dumps({**CANONICAL, "hour": 20.5}), id="hour-fraction"),
+        pytest.param(json.dumps({**CANONICAL, "month": ["June"]}), id="month-list"),
+        pytest.param(json.dumps({**CANONICAL, "time": "t6"}), id="time-lowercase"),
+        pytest.param('[1, 2]', id="array"),
+        pytest.param('"June"', id="string"),
+        pytest.param('null', id="null"),
+        pytest.param('{}', id="empty-object"),
+    ])
+    def test_reader_gives_the_checked_paths_record_or_error(self, line):
+        try:
+            expected = [unified_from_json_dict(json.loads(line))]
+        except (KeyError, TypeError, ValueError) as exc:
+            expected = f"bad unified record on line 1: {exc}"
+        try:
+            got = read_unified_jsonl(io.StringIO(line + "\n"))
+        except ValueError as exc:
+            got = str(exc)
+        assert repr(got) == repr(expected)  # repr tells hour=1 from hour=True
