@@ -16,9 +16,8 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from itertools import combinations, groupby
-from typing import Callable, Hashable, Iterable, Mapping, Sequence, TextIO
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 from .errors import EmptyTransactionListError
 from .stats import round_half_up
@@ -40,14 +39,12 @@ def hotspot_item_key(item: tuple[str, str]):
     return (_TAG_RANK[tag], value_order_key(tag, value))
 
 
-@dataclass(frozen=True)
-class ItemsetSupport:
+class ItemsetSupport(NamedTuple):
     count: int
     support: float
 
 
-@dataclass(frozen=True)
-class FrequentPattern:
+class FrequentPattern(NamedTuple):
     """A (location, weekday, time-bin) itemset above the support threshold."""
 
     location: str
@@ -57,14 +54,18 @@ class FrequentPattern:
     count: int
 
 
-@dataclass
 class MiningRun:
     """All frequent itemsets of a run, plus the constrained triple patterns."""
 
-    min_sup: float
-    dataset_size: int
-    itemsets: dict[int, dict[frozenset, ItemsetSupport]]
-    patterns: list[FrequentPattern] = field(default_factory=list)
+    __slots__ = ("min_sup", "dataset_size", "itemsets", "patterns")
+
+    def __init__(self, min_sup: float, dataset_size: int,
+                 itemsets: dict[int, dict[frozenset, ItemsetSupport]],
+                 patterns: list[FrequentPattern] | None = None):
+        self.min_sup = min_sup
+        self.dataset_size = dataset_size
+        self.itemsets = itemsets
+        self.patterns = [] if patterns is None else patterns
 
     @property
     def levels(self) -> dict[int, int]:
@@ -226,15 +227,8 @@ def mine_hotspot_patterns(
         by_tag = dict(itemset)
         if set(by_tag) != {LOCATION_TAG, DAY_TAG, TIME_TAG}:
             continue
-        patterns.append(
-            FrequentPattern(
-                location=by_tag[LOCATION_TAG],
-                day=by_tag[DAY_TAG],
-                time=by_tag[TIME_TAG],
-                support=stat.support,
-                count=stat.count,
-            )
-        )
+        patterns.append(FrequentPattern(by_tag[LOCATION_TAG], by_tag[DAY_TAG], by_tag[TIME_TAG],
+                                        stat.support, stat.count))
     patterns.sort(key=lambda p: (p.location, WEEKDAY_RANK[p.day], TIME_RANK[p.time]))
     run.patterns = patterns
     return run

@@ -17,9 +17,8 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 from operator import attrgetter
-from typing import Hashable, Iterable, Mapping, Sequence, TextIO, Union
+from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence, TextIO, Union
 
 from .errors import AllZeroCountsError, DatasetTooSmallError, EmptyTrainingSetError
 from .vocab import (
@@ -32,7 +31,6 @@ CLASSES = tuple(CrimeCategory)
 _crime_type = attrgetter("crime_type")
 
 
-@dataclass(frozen=True)
 class FeatureVector:
     """Prediction-time crime features.
 
@@ -41,20 +39,21 @@ class FeatureVector:
     Bayes model and by equality predicates failing in the tree).
     """
 
-    month: str
-    day: str
-    time: TimeBin
-    location: str
+    __slots__ = ("month", "day", "time", "location")
 
-    def __post_init__(self):
-        if self.month not in MONTH_RANK:
-            raise ValueError(f"unknown month {self.month!r}")
-        if self.day not in WEEKDAY_RANK:
-            raise ValueError(f"unknown weekday {self.day!r}")
-        if not isinstance(self.time, TimeBin):
-            raise ValueError(f"time must be a TimeBin, got {self.time!r}")
-        if not self.location:
+    def __init__(self, month: str, day: str, time: TimeBin, location: str):
+        if month not in MONTH_RANK:
+            raise ValueError(f"unknown month {month!r}")
+        if day not in WEEKDAY_RANK:
+            raise ValueError(f"unknown weekday {day!r}")
+        if not isinstance(time, TimeBin):
+            raise ValueError(f"time must be a TimeBin, got {time!r}")
+        if not location:
             raise ValueError("location must be non-empty")
+        self.month = month
+        self.day = day
+        self.time = time
+        self.location = location
 
 
 # What the predictors read: a query vector (checked when built) or a unified
@@ -68,16 +67,16 @@ def feature_of(x: Features, feature: str) -> str:
 
 # --- train/test splitting ----------------------------------------------------
 
-@dataclass(frozen=True)
 class SplitSpec:
     """Seeded shuffle-split parameters."""
 
-    train_fraction: float = 0.8
-    seed: int = 42
+    __slots__ = ("train_fraction", "seed")
 
-    def __post_init__(self):
-        if not 0 < self.train_fraction < 1:
-            raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+    def __init__(self, train_fraction: float = 0.8, seed: int = 42):
+        if not 0 < train_fraction < 1:
+            raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
+        self.train_fraction = train_fraction
+        self.seed = seed
 
 
 def split_train_test(dataset: Sequence, spec: SplitSpec) -> tuple[list, list]:
@@ -155,8 +154,7 @@ def as_dataset(data: Dataset | Sequence[UnifiedCrimeRecord]) -> Dataset:
 
 # --- Naive Bayes --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NaiveBayesModel:
+class NaiveBayesModel(NamedTuple):
     """Class priors plus per-feature conditional log-probability tables.
 
     For each feature f and class c the conditionals follow
@@ -282,14 +280,12 @@ def _bits(counts: Iterable[int], total: int) -> float:
     return h
 
 
-@dataclass
-class TreeLeaf:
+class TreeLeaf(NamedTuple):
     counts: dict[CrimeCategory, int]
     majority: CrimeCategory
 
 
-@dataclass
-class TreeSplit:
+class TreeSplit(NamedTuple):
     feature: str
     value: str
     gain: float
@@ -297,8 +293,7 @@ class TreeSplit:
     if_false: Union["TreeSplit", TreeLeaf]
 
 
-@dataclass
-class DecisionTree:
+class DecisionTree(NamedTuple):
     """Binary predicate tree over the categorical features."""
 
     root: TreeSplit | TreeLeaf
@@ -476,6 +471,8 @@ def nb_from_json_dict(obj: Mapping) -> NaiveBayesModel:
     if obj.get("schema") != NB_SCHEMA:
         raise ValueError(f"expected schema {NB_SCHEMA!r}, got {obj.get('schema')!r}")
     classes = tuple(CrimeCategory(i) for i in obj["classes"])
+    if not classes or len(set(classes)) != len(classes):
+        raise ValueError(f"classes must be distinct and non-empty, got {obj['classes']!r}")
     return NaiveBayesModel(
         alpha=float(obj["alpha"]),
         classes=classes,

@@ -54,18 +54,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", default="-", help="output path ('-' = stdout, the default unless noted)")
 
 
-def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
-    parser = _Parser(prog="crimeminer", description=__doc__)
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    commands: dict[str, argparse.ArgumentParser] = {}
-
-    def command(name: str, help_text: str) -> argparse.ArgumentParser:
-        sub = subparsers.add_parser(name, help=help_text)
-        _add_common(sub)
-        commands[name] = sub
-        return sub
-
-    sub = command("ingest", "load a city crime CSV into cleaned raw records")
+def _ingest_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--schema", required=True, help="denver or la")
     sub.add_argument("--input", required=True, help="crime CSV path")
     sub.add_argument("--report", help="write the ingest report JSON here")
@@ -74,7 +63,8 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     sub.add_argument("--no-filter", action="store_true", help="skip the crime/non-crime filter")
     sub.set_defaults(handler=_cmd_ingest)
 
-    sub = command("preprocess", "transform raw records into the unified dataset")
+
+def _preprocess_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--schema", required=True, help="denver or la")
     sub.add_argument("--input", required=True, help="raw-records JSONL path")
     sub.add_argument("--mapping", help="type-mapping JSON (default: packaged mapping for the schema)")
@@ -83,7 +73,8 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
                      help="abort when more than this fraction of rows is rejected")
     sub.set_defaults(handler=_cmd_preprocess)
 
-    sub = command("stats", "frequency tables, crosstabs, and location rankings")
+
+def _stats_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--dataset", required=True, help="unified dataset JSONL path")
     sub.add_argument("--year", type=int, help="restrict to one year")
     sub.add_argument("--attribute", help="frequency table over month/day/time/location/type/hour")
@@ -94,7 +85,8 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     sub.add_argument("--bottom", type=_ranged(int, 0), help="location ranking: bottom picks")
     sub.set_defaults(handler=_cmd_stats)
 
-    sub = command("mine", "mine (location, day, time) hotspot patterns")
+
+def _mine_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--dataset", required=True, help="unified dataset JSONL path")
     sub.add_argument("--min-sup", type=_ranged(float, 0, 1), help="minimum support as a decimal fraction")
     sub.add_argument("--min-count", type=_ranged(int, 1),
@@ -104,7 +96,8 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
                      help="worker threads for counting (results are identical for any value)")
     sub.set_defaults(handler=_cmd_mine, output="patterns.csv")
 
-    sub = command("train", "train a crime-type classifier on a seeded split")
+
+def _train_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--dataset", required=True, help="unified dataset JSONL path")
     sub.add_argument("--model", required=True, choices=["nb", "dt"], help="classifier kind")
     sub.add_argument("--alpha", type=_ranged(float, 0), default=1.0, help="Bayes smoothing pseudo-count")
@@ -115,7 +108,8 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     sub.add_argument("--eval-report", help="evaluate on the held-out split and write the report JSON here")
     sub.set_defaults(handler=_cmd_train, output="model.json")
 
-    sub = command("predict", "predict a crime type for one feature vector")
+
+def _predict_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--model", required=True, help="model JSON path")
     sub.add_argument("--month", required=True)
     sub.add_argument("--day", required=True)
@@ -123,7 +117,8 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     sub.add_argument("--location", required=True)
     sub.set_defaults(handler=_cmd_predict)
 
-    sub = command("evaluate", "k-fold cross-validation of a classifier")
+
+def _evaluate_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--dataset", required=True, help="unified dataset JSONL path")
     sub.add_argument("--model", required=True, choices=["nb", "dt"], help="classifier kind")
     sub.add_argument("--alpha", type=_ranged(float, 0), default=1.0)
@@ -135,7 +130,8 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     sub.add_argument("--csv", help="also write the per-class metrics table as CSV here")
     sub.set_defaults(handler=_cmd_evaluate)
 
-    sub = command("demographics", "compare dangerous vs. safe neighborhood demographics")
+
+def _demographics_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--dataset", required=True, help="unified dataset JSONL path")
     sub.add_argument("--demographics", required=True, help="demographics CSV path")
     sub.add_argument("--columns", help="column-map JSON (default: packaged bindings)")
@@ -146,6 +142,33 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     sub.add_argument("--json", help="also write the comparison as JSON here")
     sub.set_defaults(handler=_cmd_demographics)
 
+
+# Each subcommand's help line and the function adding its own flags, in help order.
+_COMMANDS = {
+    "ingest": ("load a city crime CSV into cleaned raw records", _ingest_flags),
+    "preprocess": ("transform raw records into the unified dataset", _preprocess_flags),
+    "stats": ("frequency tables, crosstabs, and location rankings", _stats_flags),
+    "mine": ("mine (location, day, time) hotspot patterns", _mine_flags),
+    "train": ("train a crime-type classifier on a seeded split", _train_flags),
+    "predict": ("predict a crime type for one feature vector", _predict_flags),
+    "evaluate": ("k-fold cross-validation of a classifier", _evaluate_flags),
+    "demographics": ("compare dangerous vs. safe neighborhood demographics", _demographics_flags),
+}
+
+
+def build_parser(only: str | None = None) -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
+    """The parser and each subcommand's parser, or with ``only`` naming a
+    subcommand, that one alone: it parses and prints its own arguments as
+    the full parser does."""
+    parser = _Parser(prog="crimeminer", description=__doc__)
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    commands: dict[str, argparse.ArgumentParser] = {}
+    for name, (help_text, add_flags) in _COMMANDS.items():
+        if only is None or only == name:
+            sub = subparsers.add_parser(name, help=help_text)
+            _add_common(sub)
+            add_flags(sub)
+            commands[name] = sub
     return parser, commands
 
 
@@ -171,7 +194,9 @@ def _config_default(action: argparse.Action, value, config: str):
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    parser, commands = build_parser()
+    # Only the subcommand that runs gets built; with none named, argparse
+    # needs every one for its help text or its error.
+    parser, commands = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
         try:
@@ -245,12 +270,15 @@ def _cmd_ingest(args):
 
 
 def _read_text(path, read):
-    """``read(fp)`` over a UTF-8 file; undecodable bytes are an error naming it."""
+    """``read(fp)`` over a UTF-8 file; undecodable bytes or malformed content
+    are an error naming it."""
     with open(path, encoding="utf-8") as fp:
         try:
             return read(fp)
         except UnicodeDecodeError as exc:
             raise ValueError(f"cannot read {path}: not UTF-8 text: {exc.reason}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _cmd_preprocess(args):
@@ -322,12 +350,16 @@ def _cmd_train(args):
     from . import classify
     dataset = _read_dataset(args.dataset)
     if args.train_fraction == 1.0:
+        if args.eval_report is not None:
+            raise UsageError("--eval-report needs --train-fraction < 1.0")
         train, test = list(dataset), []
     else:
         spec = classify.SplitSpec(train_fraction=args.train_fraction, seed=args.seed)
         train, test = classify.split_train_test(dataset, spec)
-    if args.eval_report is not None and not test:
-        raise UsageError("--eval-report needs --train-fraction < 1.0")
+        if not train or (args.eval_report is not None and not test):
+            short = "training" if not train else "--eval-report"
+            raise UsageError(f"--train-fraction {args.train_fraction} splits the {len(dataset)} records "
+                             f"into {len(train)} to train and {len(test)} to test; {short} needs at least one")
     model = classify.fit_model(args.model, train, alpha=args.alpha, max_leaves=args.max_leaves)
     outputs = [(args.output, functools.partial(classify.save_model, model))]
     if args.eval_report is not None:

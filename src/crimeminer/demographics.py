@@ -11,16 +11,14 @@ import csv
 import difflib
 import json
 from collections import Counter
-from dataclasses import dataclass
-from typing import Mapping, Sequence, TextIO
+from typing import Mapping, NamedTuple, Sequence, TextIO
 
 from .errors import EmptyDatasetError, GroupSelectionError, UnmatchedNeighborhoodError
 from .ingestion import DemographicsRecord
 from .vocab import UnifiedCrimeRecord
 
 
-@dataclass(frozen=True)
-class NeighborhoodCrimeRate:
+class NeighborhoodCrimeRate(NamedTuple):
     neighborhood: str
     crime_count: int
     crime_share: float
@@ -55,8 +53,7 @@ def _metric_row(record: DemographicsRecord) -> dict[str, int]:
     return row
 
 
-@dataclass(frozen=True)
-class GroupComparison:
+class GroupComparison(NamedTuple):
     """Dangerous vs. safe neighborhoods with per-neighborhood and group metrics."""
 
     dangerous: tuple[str, ...]

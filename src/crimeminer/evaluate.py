@@ -7,8 +7,7 @@ import json
 import random
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Mapping, Sequence, TextIO
+from typing import Mapping, NamedTuple, Sequence, TextIO
 
 from .classify import (
     CLASS_INDEX, CLASSES, FEATURES, Dataset, DecisionTree, NaiveBayesModel, TreeLeaf, as_dataset,
@@ -27,8 +26,7 @@ from .vocab import CrimeCategory, UnifiedCrimeRecord
 Data = Dataset | Sequence[UnifiedCrimeRecord]
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
+class ConfusionMatrix(NamedTuple):
     """cells[actual][predicted] over the fixed six-class canonical order."""
 
     cells: tuple[tuple[int, ...], ...]
@@ -71,16 +69,14 @@ class ConfusionMatrix:
         return tuple(sum(col) for col in zip(*self.cells))
 
 
-@dataclass(frozen=True)
-class ClassMetrics:
+class ClassMetrics(NamedTuple):
     precision: float
     recall: float
     f1: float
     support: int
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
+class EvaluationReport(NamedTuple):
     matrix: ConfusionMatrix
     per_class: Mapping[CrimeCategory, ClassMetrics]
     weighted: ClassMetrics  # support-weighted averages; support == total
@@ -208,8 +204,7 @@ def make_fold_indices(n: int, k: int, seed: int) -> list[list[int]]:
     return folds
 
 
-@dataclass(frozen=True)
-class CrossValidationResult:
+class CrossValidationResult(NamedTuple):
     mean_accuracy: float
     fold_accuracies: tuple[float, ...]
     report: EvaluationReport  # pooled over all out-of-fold predictions

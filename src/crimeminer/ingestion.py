@@ -10,9 +10,9 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import json
-from dataclasses import dataclass, field
 from importlib import resources
-from typing import ClassVar, Iterable, Iterator, Mapping, Sequence, TextIO
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 from .errors import (
     DuplicateNeighborhoodError,
@@ -31,8 +31,7 @@ DENVER_KEY_COLUMNS = (
 LA_KEY_COLUMNS = ("Crm Cd Desc", "DATE OCC", "TIME OCC", "AREA NAME")
 
 
-@dataclass(frozen=True, slots=True)
-class RawCrimeRecord:
+class RawCrimeRecord(NamedTuple):
     """One crime event after key-attribute selection and cleaning."""
 
     offense_category: str
@@ -43,14 +42,17 @@ class RawCrimeRecord:
     source_row: int
 
 
-@dataclass
 class IngestReport:
     """Accounting of accepted and rejected rows for one input file."""
 
-    rows_read: int = 0
-    rows_accepted: int = 0
-    rows_rejected: int = 0
-    rejection_reasons: dict[str, int] = field(default_factory=dict)
+    __slots__ = ("rows_read", "rows_accepted", "rows_rejected", "rejection_reasons")
+
+    def __init__(self, rows_read: int = 0, rows_accepted: int = 0, rows_rejected: int = 0,
+                 rejection_reasons: dict[str, int] | None = None):
+        self.rows_read = rows_read
+        self.rows_accepted = rows_accepted
+        self.rows_rejected = rows_rejected
+        self.rejection_reasons = {} if rejection_reasons is None else rejection_reasons
 
     def accept(self) -> None:
         self.rows_accepted += 1
@@ -221,16 +223,8 @@ def load_crime_csv(path, schema: Schema) -> tuple[list[RawCrimeRecord], IngestRe
         except _Rejected as exc:
             report.reject(exc.args[0])
             continue
-        records.append(
-            RawCrimeRecord(
-                offense_category=normalize_category(category),
-                date=date,
-                time=time,
-                location_name=normalize_location(location),
-                is_crime=is_crime,
-                source_row=row_number,
-            )
-        )
+        records.append(RawCrimeRecord(normalize_category(category), date, time,
+                                      normalize_location(location), is_crime, row_number))
         report.accept()
     return records, report
 
@@ -268,12 +262,12 @@ def raw_to_json_dict(record: RawCrimeRecord) -> dict:
 def raw_from_json_dict(obj: Mapping) -> RawCrimeRecord:
     time = obj.get("time")
     return RawCrimeRecord(
-        offense_category=str(obj["category"]),
-        date=dt.date.fromisoformat(obj["date"]),
-        time=_parse_clock(time) if time is not None else None,
-        location_name=str(obj["location"]),
-        is_crime=obj.get("is_crime"),
-        source_row=int(obj.get("source_row", 0)),
+        str(obj["category"]),
+        dt.date.fromisoformat(obj["date"]),
+        _parse_clock(time) if time is not None else None,
+        str(obj["location"]),
+        obj.get("is_crime"),
+        int(obj.get("source_row", 0)),
     )
 
 
@@ -297,8 +291,11 @@ def read_raw_jsonl(fp: TextIO) -> list[RawCrimeRecord]:
 
 # --- demographics -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class DemographicsColumns:
+# The shared default of the optional ``extras`` tables: read-only.
+_NO_EXTRAS: Mapping = MappingProxyType({})
+
+
+class DemographicsColumns(NamedTuple):
     """Column-name bindings that select the demographics subset from a wide CSV."""
 
     neighborhood: str
@@ -311,9 +308,9 @@ class DemographicsColumns:
     owned: str
     rented: str
     age_brackets: Mapping[str, str]
-    extras: Mapping[str, str] = field(default_factory=dict)
+    extras: Mapping[str, str] = _NO_EXTRAS
 
-    COUNT_FIELDS: ClassVar[tuple[str, ...]] = (
+    COUNT_FIELDS = (
         "population", "male", "female", "housing_units", "occupied", "vacant", "owned", "rented",
     )
 
@@ -352,8 +349,7 @@ class DemographicsColumns:
         return cls.from_json_dict(json.loads(text))
 
 
-@dataclass(frozen=True)
-class DemographicsRecord:
+class DemographicsRecord(NamedTuple):
     """Population and housing counts for one neighborhood."""
 
     neighborhood: str
@@ -366,7 +362,7 @@ class DemographicsRecord:
     vacant_units: int
     owned_units: int
     rented_units: int
-    extras: Mapping[str, int] = field(default_factory=dict)
+    extras: Mapping[str, int] = _NO_EXTRAS
 
 
 def _count(text: str) -> int:

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import datetime as dt
 import json
-from dataclasses import dataclass, field
 from importlib import resources
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 from .errors import RejectionThresholdError, UnmappedCategoryError
 from .vocab import (  # noqa: F401 -- also re-exported for existing importers
@@ -36,8 +35,7 @@ def derive_temporal(when: dt.datetime) -> tuple[str, str, TimeBin, int]:
     )
 
 
-@dataclass(frozen=True)
-class TypeMapping:
+class TypeMapping(NamedTuple):
     """Grouping of raw offense categories into the six unified types.
 
     The mapping must cover every raw category actually present in the data;
@@ -79,16 +77,20 @@ def map_crime_type(raw_category: str, mapping: TypeMapping) -> CrimeCategory:
         raise UnmappedCategoryError(raw_category) from None
 
 
-@dataclass
 class PreprocessReport:
     """Accounting for one preprocessing run."""
 
-    schema: str
-    rows_in: int = 0
-    rows_out: int = 0
-    rows_rejected: int = 0
-    rejected_categories: dict[str, int] = field(default_factory=dict)
-    reasons: dict[str, int] = field(default_factory=dict)
+    __slots__ = ("schema", "rows_in", "rows_out", "rows_rejected", "rejected_categories", "reasons")
+
+    def __init__(self, schema: str, rows_in: int = 0, rows_out: int = 0, rows_rejected: int = 0,
+                 rejected_categories: dict[str, int] | None = None,
+                 reasons: dict[str, int] | None = None):
+        self.schema = schema
+        self.rows_in = rows_in
+        self.rows_out = rows_out
+        self.rows_rejected = rows_rejected
+        self.rejected_categories = {} if rejected_categories is None else rejected_categories
+        self.reasons = {} if reasons is None else reasons
 
     def reject(self, reason: str) -> None:
         self.rows_rejected += 1
@@ -134,17 +136,8 @@ def preprocess_dataset(
             counts[record.offense_category] = counts.get(record.offense_category, 0) + 1
             continue
         month, day, time_bin, year = derive_temporal(dt.datetime.combine(record.date, record.time))
-        out.append(
-            UnifiedCrimeRecord(
-                crime_type=category,
-                month=month,
-                day=day,
-                time=time_bin,
-                location=record.location_name,
-                year=year,
-                hour=record.time.hour,
-            )
-        )
+        out.append(UnifiedCrimeRecord(category, month, day, time_bin, record.location_name, year,
+                                      record.time.hour))
         report.rows_out += 1
 
     if report.rows_in and report.rows_rejected / report.rows_in > max_reject_fraction:
@@ -226,8 +219,7 @@ def _canonical_record(obj) -> UnifiedCrimeRecord | None:
         return None
     if not (canonical and location):
         return None
-    return UnifiedCrimeRecord(crime_type=category, month=month, day=day, time=time_bin,
-                              location=location, year=year, hour=hour)
+    return UnifiedCrimeRecord(category, month, day, time_bin, location, year, hour)
 
 
 def write_unified_jsonl(records: Iterable[UnifiedCrimeRecord], fp: TextIO) -> None:

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
 from .errors import InsufficientLocationsError
 from .vocab import ATTRIBUTES, UnifiedCrimeRecord
@@ -19,15 +18,13 @@ from .vocab import ATTRIBUTES, UnifiedCrimeRecord
 CATEGORICAL_ATTRIBUTES = tuple(ATTRIBUTES)
 
 
-@dataclass(frozen=True)
-class FrequencyRow:
+class FrequencyRow(NamedTuple):
     value: str
     count: int
     percentage: float
 
 
-@dataclass(frozen=True)
-class FrequencyTable:
+class FrequencyTable(NamedTuple):
     """Counts and percentages of one attribute's values.
 
     ``total`` is the size of the (year-filtered) dataset; an all-filtered-out
@@ -44,8 +41,7 @@ class FrequencyTable:
         return self.total == 0
 
 
-@dataclass(frozen=True)
-class CrossTab:
+class CrossTab(NamedTuple):
     """Counts of joint (row value, column value) occurrences."""
 
     row_attribute: str

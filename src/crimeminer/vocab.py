@@ -7,10 +7,9 @@ Imports no stage module, so a CLI call needing only these names stays cheap.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum, IntEnum
 from operator import attrgetter
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import OutOfRangeError
 
@@ -129,8 +128,7 @@ _CATEGORY_LABELS = {
 _LABEL_LOOKUP = {label.lower(): category for category, label in _CATEGORY_LABELS.items()}
 
 
-@dataclass(frozen=True, slots=True)
-class UnifiedCrimeRecord:
+class UnifiedCrimeRecord(NamedTuple):
     """One preprocessed crime event in the unified categorical schema."""
 
     crime_type: CrimeCategory
@@ -142,8 +140,7 @@ class UnifiedCrimeRecord:
     hour: int  # raw clock hour 0-23, kept for hour-resolution statistics
 
 
-@dataclass(frozen=True)
-class Attribute:
+class Attribute(NamedTuple):
     """How a categorical attribute reads as text and, for a closed vocabulary,
     the canonical order of its values (None for locations, an open one)."""
 

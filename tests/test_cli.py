@@ -1,7 +1,6 @@
 """Command-line pipeline: wiring, exit codes, determinism, config precedence."""
 
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -15,16 +14,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from crimeminer import classify, evaluate, ingestion, preprocess, vocab
+from conftest import DATA_DIR
+from crimeminer import classify, cli, evaluate, ingestion, preprocess, vocab
 from crimeminer.cli import build_parser, main
 from crimeminer.preprocess import read_unified_jsonl
 from crimeminer.synthetic import generate_synthetic_dataset
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-DEFAULT_COLUMNS = dataclasses.asdict(ingestion.DemographicsColumns.default())
+DEFAULT_COLUMNS = ingestion.DemographicsColumns.default()._asdict()
 MISSPELLED_COLUMNS = {**{k: v for k, v in DEFAULT_COLUMNS.items() if k != "age_brackets"},
                       "age_bracket": DEFAULT_COLUMNS["age_brackets"]}
+NB_MODEL = classify.nb_to_json_dict(classify.nb_train(generate_synthetic_dataset()[:100]))
 CSV_HEADER = "INCIDENT_ID,OFFENSE_CATEGORY_ID,FIRST_OCCURRENCE_DATE,NEIGHBORHOOD_ID,IS_CRIME\n"
 INGEST_ARGV = ["ingest", "--schema", "denver", "--input", "side.json"]
 COLUMNS_ARGV = ["demographics", "--dataset", "unified.jsonl", "--demographics", "demo.csv",
@@ -415,12 +416,27 @@ class TestExitCodes:
         assert_one_line_error(capsys, "usage error: ")
         assert not (pipeline / "out").exists()
 
+    @pytest.mark.parametrize("flags, split", [
+        (["--train-fraction", "0.1"], "0 to train and 3 to test; training"),
+        (["--train-fraction", "0.9", "--eval-report", "h.json"], "3 to train and 0 to test; --eval-report"),
+    ], ids=["empty-train", "empty-test"])
+    def test_split_leaving_a_side_empty_is_usage_error(self, tmp_path, capsys, monkeypatch, flags, split):
+        monkeypatch.chdir(tmp_path)
+        with open(DATA_DIR / "synthetic_crimes.jsonl", encoding="utf-8") as fp:
+            (tmp_path / "three.jsonl").write_text("".join(next(fp) for _ in range(3)), encoding="utf-8")
+        assert main(["train", "--dataset", "three.jsonl", "--model", "nb", *flags]) == 1
+        err = assert_one_line_error(capsys, "usage error: ")
+        assert f"--train-fraction {flags[1]} splits the 3 records into {split}" in err
+        assert not list(tmp_path.glob("*.json"))
+
     @pytest.mark.parametrize("model", [
         "[]",
         '{"schema": "nb-v1"}',
         '{"schema": "dt-v1", "max_leaves": 2, "root": {"kind": "split", "feature": "colour",'
         ' "value": "red", "gain": 1.0, "true": {}, "false": {}}}',
         pytest.param("[" * 5000, id="deeply-nested"),
+        pytest.param(json.dumps({**NB_MODEL, "classes": []}), id="no-classes"),
+        pytest.param(json.dumps({**NB_MODEL, "classes": [1, 1, 2]}), id="repeated-classes"),
     ])
     def test_malformed_model_is_data_error(self, tmp_path, capsys, model):
         path = tmp_path / "model.json"
@@ -428,7 +444,7 @@ class TestExitCodes:
         code = main(["predict", "--model", str(path), "--month", "June", "--day", "Friday",
                      "--time", "T6", "--location", "cbd"])
         assert code == 2
-        assert_one_line_error(capsys, "error: ")
+        assert str(path) in assert_one_line_error(capsys, "error: ")
 
 
 class TestWholeOutputs:
@@ -526,6 +542,23 @@ class TestImports:
                     ("ingestion", "preprocess", "apriori", "stats", "evaluate", "demographics")}
         assert not loaded & (unwanted | {"concurrent.futures"})
 
+    def test_no_call_loads_dataclasses(self, pipeline):
+        dataset = ["--dataset", str(pipeline / "unified.jsonl")]
+        model, out = str(pipeline / "nb.json"), str(pipeline / "out")
+        calls = [
+            ["train", *dataset, "--model", "nb", "--output", model, "--eval-report", out],
+            ["predict", "--model", model, "--month", "June", "--day", "Friday", "--time", "T6",
+             "--location", "cbd", "--output", out],
+            ["stats", *dataset, "--attribute", "day", "--output", out],
+            ["evaluate", *dataset, "--model", "dt", "--folds", "3", "--output", out],
+            ["demographics", *dataset, "--demographics", str(pipeline / "demo.csv"), "--top", "2",
+             "--bottom", "2", "--output", out],
+            ["ingest", "--schema", "denver", "--input", str(pipeline / "denver.csv"), "--output", out],
+            ["--help"],
+        ]
+        for argv in calls:
+            assert not modules_after(argv) & {"dataclasses", "inspect"}, argv[0]
+
     def test_help_loads_no_stage_module(self):
         loaded = modules_after(["--help"])
         assert {m for m in loaded if m.startswith("crimeminer.")} == {
@@ -537,6 +570,46 @@ class TestImports:
             assert getattr(preprocess, name) is getattr(vocab, name)
         for name in ("Schema", "normalize_location", "normalize_category"):
             assert getattr(ingestion, name) is getattr(vocab, name)
+
+
+class TestParserPerCall:
+    """A call builds only its own subcommand's parser, and prints what the full parser would."""
+
+    @pytest.mark.parametrize("argv", [[name, flag] for name in build_parser()[1]
+                                      for flag in ("--help", "--no-such-flag")], ids=" ".join)
+    def test_one_subparser_prints_what_all_print(self, capsys, monkeypatch, argv):
+        def run():
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # --help
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        alone = run()
+        build_all = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda only=None: build_all())
+        assert run() == alone
+        assert alone[0] == (0 if argv[1] == "--help" else 1)
+
+    @pytest.mark.parametrize("argv, built", [
+        (["predict", "--help"], ["predict"]),
+        (["--help"], list(cli._COMMANDS)),
+        (["transmogrify"], list(cli._COMMANDS)),
+    ])
+    def test_a_named_subcommand_is_built_alone(self, monkeypatch, argv, built):
+        seen = []
+        build = cli.build_parser
+
+        def recording(only=None):
+            parser, commands = build(only)
+            seen.append(list(commands))
+            return parser, commands
+
+        monkeypatch.setattr(cli, "build_parser", recording)
+        with contextlib.suppress(SystemExit):
+            main(argv)
+        assert seen == [built]
 
 
 class TestDeterminism:

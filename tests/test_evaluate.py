@@ -1,6 +1,5 @@
 """Confusion matrices, metric reports, and cross-validation."""
 
-import dataclasses
 import hashlib
 import io
 import random
@@ -272,7 +271,7 @@ class TestCodedColumns:
     @given(datasets, datasets, st.sampled_from([0.0, 0.01, 1.0]), st.integers(2, 12), st.data())
     def test_matches_per_record_prediction_and_training(self, train, test, alpha, max_leaves, data):
         unseen = data.draw(st.lists(st.booleans(), min_size=len(test), max_size=len(test)))
-        test = [dataclasses.replace(r, location=f"unseen-{i}") if moved else r
+        test = [r._replace(location=f"unseen-{i}") if moved else r
                 for i, (r, moved) in enumerate(zip(test, unseen))]
         pooled = Dataset.from_records(train + test)
         coded_train = pooled.subset(range(len(train)))

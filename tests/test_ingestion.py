@@ -1,6 +1,5 @@
 """Crime and demographics CSV loading."""
 
-import dataclasses
 import datetime as dt
 import io
 
@@ -292,8 +291,8 @@ class TestDemographics:
         assert records[0].extras == {"race_white": 7}
 
     def test_column_named_twice(self, tmp_path):
-        columns = dataclasses.replace(
-            DemographicsColumns.default(), extras={"residents": "POPULATION_2010", "men": "male"}
+        columns = DemographicsColumns.default()._replace(
+            extras={"residents": "POPULATION_2010", "men": "male"}
         )
         records, report = load_demographics_csv(write_csv(tmp_path, DEMO_HEADER + demo_row("baker")), columns)
         assert report.rows_accepted == 1

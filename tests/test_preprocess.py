@@ -210,9 +210,12 @@ class TestUnifiedJsonl:
         with pytest.raises(ValueError):
             unified_from_json_dict(obj)
 
-    @given(unified_records())
-    def test_written_records_take_the_lookup_path(self, record):
-        assert _canonical_record(unified_to_json_dict(record)) == record
+    @given(unified_records(), st.text(min_size=1).map(str.strip).filter(bool), st.integers())
+    def test_written_records_take_the_lookup_path(self, record, location, year):
+        for r in (record, record._replace(location=location, year=year)):
+            obj = unified_to_json_dict(r)
+            assert _canonical_record(obj) == unified_from_json_dict(obj) == r
+            assert repr(_canonical_record(obj)) == repr(r)  # same type, same field order
 
     CANONICAL = {"type": "Theft", "type_id": 5, "month": "June", "day": "Friday",
                  "time": "T6", "location": "cbd", "year": 2014, "hour": 21}
