@@ -1,14 +1,14 @@
 """Level-wise frequent-itemset mining and constrained hotspot extraction.
 
-The miner is generic over hashable items: candidates of size k are joined
-from frequent (k-1)-itemsets sharing a (k-2)-prefix under a canonical item
-order, pruned by the anti-monotone support property, and counted in one pass
-per level through a hash lookup. An itemset is frequent when
-``count / n_transactions >= min_sup`` (inclusive).
+The miner is generic over hashable, mutually ordered items: candidates of
+size k are joined from frequent (k-1)-itemsets sharing a (k-2)-prefix in the
+items' natural order, pruned by the anti-monotone support property, and
+counted in one pass per level through a hash lookup. An itemset is frequent
+when ``count / n_transactions >= min_sup`` (inclusive).
 
 Hotspot mining builds one transaction per crime record with three tagged
-items -- (location, L), (day, D), (time, T) -- and reports the size-3
-itemsets that pick exactly one value per tag.
+items -- (location, L), (day, D), (time, T) -- and reports the frequent
+size-3 itemsets, each of which is one record's whole transaction.
 """
 
 from __future__ import annotations
@@ -17,26 +17,17 @@ import csv
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations, groupby
-from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence, TextIO
+from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 from .errors import EmptyTransactionListError
 from .stats import round_half_up
-from .vocab import TIME_RANK, WEEKDAY_RANK, UnifiedCrimeRecord, value_order_key
+from .vocab import TIME_RANK, WEEKDAY_RANK, UnifiedCrimeRecord
 
 Item = Hashable
-ItemKey = Callable[[Item], object]
 
 LOCATION_TAG = "location"
 DAY_TAG = "day"
 TIME_TAG = "time"
-
-_TAG_RANK = {LOCATION_TAG: 0, DAY_TAG: 1, TIME_TAG: 2}
-
-
-def hotspot_item_key(item: tuple[str, str]):
-    """Canonical order for tagged items: location < day < time, then value order."""
-    tag, value = item
-    return (_TAG_RANK[tag], value_order_key(tag, value))
 
 
 class ItemsetSupport(NamedTuple):
@@ -54,18 +45,13 @@ class FrequentPattern(NamedTuple):
     count: int
 
 
-class MiningRun:
-    """All frequent itemsets of a run, plus the constrained triple patterns."""
+class MiningRun(NamedTuple):
+    """All frequent itemsets of a run, plus the hotspot patterns among them."""
 
-    __slots__ = ("min_sup", "dataset_size", "itemsets", "patterns")
-
-    def __init__(self, min_sup: float, dataset_size: int,
-                 itemsets: dict[int, dict[frozenset, ItemsetSupport]],
-                 patterns: list[FrequentPattern] | None = None):
-        self.min_sup = min_sup
-        self.dataset_size = dataset_size
-        self.itemsets = itemsets
-        self.patterns = [] if patterns is None else patterns
+    min_sup: float
+    dataset_size: int
+    itemsets: dict[int, dict[frozenset, ItemsetSupport]]
+    patterns: list[FrequentPattern]
 
     @property
     def levels(self) -> dict[int, int]:
@@ -89,13 +75,10 @@ def support(itemset: Iterable[Item], transactions: Sequence[frozenset]) -> tuple
     return count / len(transactions), count
 
 
-def _generate_candidates(frequent: Iterable[frozenset], key: ItemKey) -> list[frozenset]:
+def _generate_candidates(frequent: Iterable[frozenset]) -> list[frozenset]:
     """Join frequent (k-1)-itemsets on a shared (k-2)-prefix, then prune."""
     previous = {frozenset(s) for s in frequent}
-    as_tuples = sorted(
-        (tuple(sorted(s, key=key)) for s in previous),
-        key=lambda t: tuple(key(i) for i in t),
-    )
+    as_tuples = sorted(tuple(sorted(s)) for s in previous)
     candidates: list[frozenset] = []
     for _, group in groupby(as_tuples, key=lambda t: t[:-1]):
         members = list(group)
@@ -144,7 +127,6 @@ def mine_frequent(
     transactions: Sequence[Iterable[Item]],
     min_sup: float,
     *,
-    item_key: ItemKey | None = None,
     max_size: int | None = None,
     threads: int = 1,
 ) -> MiningRun:
@@ -158,7 +140,6 @@ def mine_frequent(
         raise EmptyTransactionListError("cannot mine zero transactions")
     if not 0 < min_sup <= 1:
         raise ValueError(f"min_sup must be in (0, 1], got {min_sup}")
-    key = item_key if item_key is not None else lambda item: item
     n = len(transactions)
 
     weighted = list(Counter(frozenset(t) for t in transactions).items())
@@ -174,21 +155,21 @@ def mine_frequent(
     }
 
     def level_entry(counts: Mapping[frozenset, int]) -> dict[frozenset, ItemsetSupport]:
-        ordered = sorted(counts, key=lambda s: tuple(key(i) for i in sorted(s, key=key)))
+        ordered = sorted(counts, key=sorted)
         return {s: ItemsetSupport(counts[s], counts[s] / n) for s in ordered}
 
     itemsets: dict[int, dict[frozenset, ItemsetSupport]] = {1: level_entry(current)}
     k = 1
     while current and (max_size is None or k < max_size):
         k += 1
-        candidates = _generate_candidates(current, key)
+        candidates = _generate_candidates(current)
         if not candidates:
             itemsets[k] = {}
             break
         counts = _count_candidates(candidates, weighted, k, threads)
         current = {s: c for s, c in counts.items() if c / n >= min_sup}
         itemsets[k] = level_entry(current)
-    return MiningRun(min_sup=min_sup, dataset_size=n, itemsets=itemsets)
+    return MiningRun(min_sup, n, itemsets, [])
 
 
 def record_transaction(record: UnifiedCrimeRecord) -> frozenset:
@@ -210,28 +191,20 @@ def mine_hotspot_patterns(
 ) -> MiningRun:
     """Mine (location, day, time) triples with support at least ``min_sup``.
 
-    Levels 1 and 2 are still computed for pruning; only size-3 itemsets with
-    exactly one item per tag become reported patterns, sorted by location,
+    Levels 1 and 2 are still computed for pruning. Every frequent size-3
+    itemset is contained in, so equal to, some record's transaction, and
+    holds one item per tag; these become the patterns, sorted by location,
     weekday order, then time-bin order.
     """
     transactions = [record_transaction(r) for r in dataset]
-    run = mine_frequent(
-        transactions,
-        min_sup,
-        item_key=hotspot_item_key,
-        max_size=3,
-        threads=threads,
-    )
+    run = mine_frequent(transactions, min_sup, max_size=3, threads=threads)
     patterns: list[FrequentPattern] = []
     for itemset, stat in run.itemsets.get(3, {}).items():
         by_tag = dict(itemset)
-        if set(by_tag) != {LOCATION_TAG, DAY_TAG, TIME_TAG}:
-            continue
         patterns.append(FrequentPattern(by_tag[LOCATION_TAG], by_tag[DAY_TAG], by_tag[TIME_TAG],
                                         stat.support, stat.count))
     patterns.sort(key=lambda p: (p.location, WEEKDAY_RANK[p.day], TIME_RANK[p.time]))
-    run.patterns = patterns
-    return run
+    return run._replace(patterns=patterns)
 
 
 def write_patterns_csv(run: MiningRun, fp: TextIO) -> None:

@@ -49,13 +49,30 @@ def _ranged(kind, low, high=None):
     return parse
 
 
+def _schema(text):
+    """An argparse ``type``: a feed schema by any name ``Schema.parse`` takes."""
+    from .vocab import Schema  # imported here: --help loads only cli and errors
+    try:
+        return Schema.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _attribute(text):
+    """An argparse ``type``: the name of a categorical attribute."""
+    from .vocab import ATTRIBUTES
+    if text not in ATTRIBUTES:
+        raise argparse.ArgumentTypeError(f"unknown attribute {text!r}; expected one of {', '.join(ATTRIBUTES)}")
+    return text
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON file supplying defaults for any flag of this subcommand")
     sub.add_argument("--output", default="-", help="output path ('-' = stdout, the default unless noted)")
 
 
 def _ingest_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--schema", required=True, help="denver or la")
+    sub.add_argument("--schema", required=True, type=_schema, help="denver or la")
     sub.add_argument("--input", required=True, help="crime CSV path")
     sub.add_argument("--report", help="write the ingest report JSON here")
     sub.add_argument("--exclude", action="append", default=[],
@@ -65,7 +82,7 @@ def _ingest_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _preprocess_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--schema", required=True, help="denver or la")
+    sub.add_argument("--schema", required=True, type=_schema, help="denver or la")
     sub.add_argument("--input", required=True, help="raw-records JSONL path")
     sub.add_argument("--mapping", help="type-mapping JSON (default: packaged mapping for the schema)")
     sub.add_argument("--report", help="write the preprocess report JSON here")
@@ -77,9 +94,10 @@ def _preprocess_flags(sub: argparse.ArgumentParser) -> None:
 def _stats_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--dataset", required=True, help="unified dataset JSONL path")
     sub.add_argument("--year", type=int, help="restrict to one year")
-    sub.add_argument("--attribute", help="frequency table over month/day/time/location/type/hour")
-    sub.add_argument("--rows", help="crosstab row attribute")
-    sub.add_argument("--cols", help="crosstab column attribute")
+    sub.add_argument("--attribute", type=_attribute,
+                     help="frequency table over month/day/time/location/type/hour")
+    sub.add_argument("--rows", type=_attribute, help="crosstab row attribute")
+    sub.add_argument("--cols", type=_attribute, help="crosstab column attribute")
     sub.add_argument("--top", type=_ranged(int, 0), help="location ranking: top picks")
     sub.add_argument("--middle", type=_ranged(int, 0), help="location ranking: centered middle picks")
     sub.add_argument("--bottom", type=_ranged(int, 0), help="location ranking: bottom picks")
@@ -193,27 +211,50 @@ def _config_default(action: argparse.Action, value, config: str):
     return value
 
 
+def _config_path(sub: argparse.ArgumentParser, argv: list[str]) -> str | None:
+    """The last ``--config`` value in ``argv``, found as argparse finds it:
+    ``--config F``, ``--config=F`` or a prefix that names no other flag."""
+    found = None
+    for i, token in enumerate(argv):
+        if token == "--":
+            break
+        name, eq, value = token.partition("=")
+        if name.startswith("--") and [o for o in sub._option_string_actions if o.startswith(name)] == ["--config"]:
+            if eq:
+                found = value
+            elif i + 1 < len(argv):
+                found = argv[i + 1]
+    return found
+
+
+def _apply_config(sub: argparse.ArgumentParser, command: str, config: str) -> None:
+    """Make the config file's values the defaults of ``sub``'s flags, so that
+    explicit flags still win and a config value satisfies a required flag."""
+    try:
+        with open(config, encoding="utf-8") as fp:
+            overrides = json.load(fp)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise UsageError(f"cannot load config {config}: {exc}") from None
+    if not isinstance(overrides, dict):
+        raise UsageError(f"config {config} must hold a JSON object")
+    flags = {a.dest: a for a in sub._actions if a.option_strings and a.dest not in ("help", "config")}
+    unknown = ", ".join(sorted(set(overrides) - set(flags)))
+    if unknown:
+        raise UsageError(f"config {config}: {command} has no flag for {unknown}")
+    sub.set_defaults(**{k: _config_default(flags[k], v, config) for k, v in overrides.items()})
+    for key in overrides:
+        flags[key].required = False
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
     # Only the subcommand that runs gets built; with none named, argparse
     # needs every one for its help text or its error.
-    parser, commands = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        try:
-            with open(args.config, encoding="utf-8") as fp:
-                overrides = json.load(fp)
-        except (OSError, ValueError, RecursionError) as exc:
-            raise UsageError(f"cannot load config {args.config}: {exc}") from None
-        if not isinstance(overrides, dict):
-            raise UsageError(f"config {args.config} must hold a JSON object")
-        sub = commands[args.command]
-        flags = {a.dest: a for a in sub._actions if a.option_strings and a.dest not in ("help", "config")}
-        unknown = ", ".join(sorted(set(overrides) - set(flags)))
-        if unknown:
-            raise UsageError(f"config {args.config}: {args.command} has no flag for {unknown}")
-        sub.set_defaults(**{k: _config_default(flags[k], v, args.config) for k, v in overrides.items()})
-        args = parser.parse_args(argv)  # explicit flags still win over config
-    return args
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser, commands = build_parser(command)
+    config = command and _config_path(commands[command], argv[1:])
+    if config:
+        _apply_config(commands[command], command, config)
+    return parser.parse_args(argv)
 
 
 def _write_json(obj, fp) -> None:
@@ -221,31 +262,71 @@ def _write_json(obj, fp) -> None:
     fp.write("\n")
 
 
+def _descriptor(path: str) -> int | None:
+    """The open descriptor that ``path`` names, as ``/dev/stdout`` and
+    ``/dev/fd/N`` do, or None."""
+    fd_dir = os.path.realpath("/dev/fd")
+    for _ in range(40):  # symlink hops, as many as the kernel follows
+        head, tail = os.path.split(os.path.abspath(path))
+        if tail.isdigit() and os.path.realpath(head) == fd_dir:
+            return int(tail)
+        if not os.path.islink(path):
+            return None
+        path = os.path.join(head, os.readlink(path))
+    return None
+
+
+def _destination(path: str) -> tuple[int | None, str | None]:
+    """``(fd, None)`` for a path naming an open descriptor, ``(None, None)``
+    for ``-`` and any other target that is no regular file (``/dev/null``, a
+    FIFO), else ``(None, file)`` with the real file that ``path`` reaches."""
+    if path == "-":
+        return None, None
+    fd = _descriptor(path)
+    if fd is not None:
+        return fd, None
+    target = os.path.realpath(path)  # through a symlink, as open() goes
+    if os.path.exists(target) and not os.path.isfile(target):
+        return None, None
+    return None, target
+
+
 def _write_outputs(outputs) -> None:
     """Write each ``(path, write)`` output: ``-`` is stdout, ``None`` not asked for.
 
     Files go to temp files beside their targets and are moved into place
-    once all are complete, so a failure leaves every target as it was. A
+    once all are complete, so a failure leaves every target as it was. Two
+    outputs naming one file are a usage error, raised before any write. A
     target that is no regular file (``/dev/null``, a FIFO) is written in
-    place: renaming over it would replace it.
+    place, and one naming an open descriptor (``/dev/stdout``) through that
+    descriptor: renaming over either would replace it, and reopening a
+    descriptor's file would truncate what it already holds.
     """
+    plan = [(path, write, *_destination(path)) for path, write in outputs if path is not None]
+    named: set[str] = set()
+    for path, _, _, target in plan:
+        if target in named:
+            raise UsageError(f"two outputs name the file {path}")
+        if target is not None:
+            named.add(target)
     staged: list[tuple[str, str]] = []
     try:
-        for path, write in outputs:
-            if path is None:
-                continue
+        for path, write, fd, target in plan:
             if path == "-":
                 write(sys.stdout)
                 continue
-            target = os.path.realpath(path)  # through a symlink, as open() goes
-            in_place = os.path.exists(target) and not os.path.isfile(target)
-            temp = target if in_place else f"{target}.{os.getpid()}.{len(staged)}.tmp"
             try:
-                fp = open(temp, "w" if in_place else "x", encoding="utf-8", newline="")
+                if fd is not None:
+                    sys.stdout.flush()  # what went to stdout before comes first
+                    fp = open(os.dup(fd), "w", encoding="utf-8", newline="")
+                elif target is None:
+                    fp = open(path, "w", encoding="utf-8", newline="")
+                else:
+                    temp = f"{target}.{os.getpid()}.{len(staged)}.tmp"
+                    fp = open(temp, "x", encoding="utf-8", newline="")
+                    staged.append((temp, target))
             except OSError as exc:
                 raise OSError(f"cannot write {path}: {exc.strerror or exc}") from None
-            if not in_place:
-                staged.append((temp, target))
             with fp:
                 write(fp)
         for temp, target in staged:
@@ -261,10 +342,9 @@ def _write_outputs(outputs) -> None:
 
 def _cmd_ingest(args):
     from . import ingestion
-    schema = ingestion.Schema.parse(args.schema)
-    records, report = ingestion.load_crime_csv(args.input, schema)
+    records, report = ingestion.load_crime_csv(args.input, args.schema)
     if not args.no_filter:
-        records = ingestion.filter_crimes(records, schema, args.exclude)
+        records = ingestion.filter_crimes(records, args.schema, args.exclude)
     return [(args.output, functools.partial(ingestion.write_raw_jsonl, records)),
             (args.report, functools.partial(_write_json, report.to_json_dict()))]
 
@@ -283,12 +363,11 @@ def _read_text(path, read):
 
 def _cmd_preprocess(args):
     from . import ingestion, preprocess
-    schema = ingestion.Schema.parse(args.schema)
     records = _read_text(args.input, ingestion.read_raw_jsonl)
     mapping = (preprocess.TypeMapping.from_json_file(args.mapping) if args.mapping
-               else preprocess.TypeMapping.for_schema(schema))
+               else preprocess.TypeMapping.for_schema(args.schema))
     unified, report = preprocess.preprocess_dataset(
-        records, schema, mapping, max_reject_fraction=args.max_reject_fraction
+        records, args.schema, mapping, max_reject_fraction=args.max_reject_fraction
     )
     return [(args.output, functools.partial(preprocess.write_unified_jsonl, unified)),
             (args.report, functools.partial(_write_json, report.to_json_dict()))]
@@ -315,6 +394,8 @@ def _cmd_stats(args):
     elif wants_crosstab:
         if args.rows is None or args.cols is None:
             raise UsageError("crosstab needs both --rows and --cols")
+        if args.rows == args.cols:
+            raise UsageError(f"--rows and --cols both name {args.rows}; a crosstab needs two attributes")
         table = stats.crosstab(dataset, args.rows, args.cols, args.year)
         write = stats.write_crosstab_csv
     else:
@@ -340,7 +421,7 @@ def _cmd_mine(args):
         min_sup = args.min_sup
     run = apriori.mine_hotspot_patterns(dataset, min_sup, threads=args.threads)
     summary = args.summary
-    if summary is None and args.output != "-":
+    if summary is None and _destination(args.output)[1] is not None:  # beside a file only
         summary = str(Path(args.output).with_suffix(".summary.json"))
     return [(args.output, functools.partial(apriori.write_patterns_csv, run)),
             (summary, functools.partial(_write_json, apriori.run_summary_dict(run)))]

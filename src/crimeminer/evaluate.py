@@ -27,10 +27,9 @@ Data = Dataset | Sequence[UnifiedCrimeRecord]
 
 
 class ConfusionMatrix(NamedTuple):
-    """cells[actual][predicted] over the fixed six-class canonical order."""
+    """cells[actual][predicted], both indexed in ``CLASSES`` order."""
 
     cells: tuple[tuple[int, ...], ...]
-    classes: tuple[CrimeCategory, ...] = CLASSES
 
     @classmethod
     def from_pairs(
@@ -95,7 +94,7 @@ def classification_report(matrix: ConfusionMatrix) -> EvaluationReport:
     rows = matrix.row_sums()
     cols = matrix.col_sums()
     per_class: dict[CrimeCategory, ClassMetrics] = {}
-    for i, c in enumerate(matrix.classes):
+    for i, c in enumerate(CLASSES):
         tp = matrix.cells[i][i]
         precision = tp / cols[i] if cols[i] else 0.0
         recall = tp / rows[i] if rows[i] else 0.0
@@ -275,7 +274,7 @@ def _metrics_json(m: ClassMetrics) -> dict:
 def report_to_json_dict(report: EvaluationReport) -> dict:
     return {
         "matrix": {
-            "labels": [c.label for c in report.matrix.classes],
+            "labels": [c.label for c in CLASSES],
             "cells": [list(row) for row in report.matrix.cells],
         },
         "per_class": {c.label: _metrics_json(m) for c, m in report.per_class.items()},
@@ -307,7 +306,7 @@ def write_report_csv(report: EvaluationReport, fp: TextIO) -> None:
     """Two-decimal metrics table, one row per class plus the weighted average."""
     writer = csv.writer(fp, lineterminator="\n")
     writer.writerow(["class", "precision", "recall", "f1", "support"])
-    rows = [(c.label, report.per_class[c]) for c in report.matrix.classes]
+    rows = [(c.label, report.per_class[c]) for c in CLASSES]
     for name, m in rows + [("Weighted Avg", report.weighted)]:
         display = (round_half_up(x, 2) for x in (m.precision, m.recall, m.f1))
         writer.writerow([name, *display, m.support])

@@ -47,12 +47,9 @@ class IngestReport:
 
     __slots__ = ("rows_read", "rows_accepted", "rows_rejected", "rejection_reasons")
 
-    def __init__(self, rows_read: int = 0, rows_accepted: int = 0, rows_rejected: int = 0,
-                 rejection_reasons: dict[str, int] | None = None):
-        self.rows_read = rows_read
-        self.rows_accepted = rows_accepted
-        self.rows_rejected = rows_rejected
-        self.rejection_reasons = {} if rejection_reasons is None else rejection_reasons
+    def __init__(self):
+        self.rows_read = self.rows_accepted = self.rows_rejected = 0
+        self.rejection_reasons: dict[str, int] = {}
 
     def accept(self) -> None:
         self.rows_accepted += 1

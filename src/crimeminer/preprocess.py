@@ -82,15 +82,11 @@ class PreprocessReport:
 
     __slots__ = ("schema", "rows_in", "rows_out", "rows_rejected", "rejected_categories", "reasons")
 
-    def __init__(self, schema: str, rows_in: int = 0, rows_out: int = 0, rows_rejected: int = 0,
-                 rejected_categories: dict[str, int] | None = None,
-                 reasons: dict[str, int] | None = None):
+    def __init__(self, schema: str):
         self.schema = schema
-        self.rows_in = rows_in
-        self.rows_out = rows_out
-        self.rows_rejected = rows_rejected
-        self.rejected_categories = {} if rejected_categories is None else rejected_categories
-        self.reasons = {} if reasons is None else reasons
+        self.rows_in = self.rows_out = self.rows_rejected = 0
+        self.rejected_categories: dict[str, int] = {}
+        self.reasons: dict[str, int] = {}
 
     def reject(self, reason: str) -> None:
         self.rows_rejected += 1
@@ -121,7 +117,7 @@ def preprocess_dataset(
     ``max_reject_fraction`` the run aborts: a large rejection rate means the
     mapping does not fit the dataset.
     """
-    report = PreprocessReport(schema=schema.value)
+    report = PreprocessReport(schema.value)
     out: list[UnifiedCrimeRecord] = []
     for record in records:
         report.rows_in += 1

@@ -164,9 +164,3 @@ _RANKS = {name: {v: i for i, v in enumerate(a.order)} for name, a in ATTRIBUTES.
 MONTH_RANK = _RANKS["month"]
 WEEKDAY_RANK = _RANKS["day"]
 TIME_RANK = _RANKS["time"]
-
-
-def value_order_key(attribute: str, value: str):
-    """Canonical within-attribute value order used for all tie-breaks."""
-    ranks = _RANKS.get(attribute)
-    return value if ranks is None else ranks[value]

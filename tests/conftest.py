@@ -67,12 +67,13 @@ def synthetic_dataset() -> list[UnifiedCrimeRecord]:
 
 # --- independent oracles ---------------------------------------------------
 
-def exhaustive_frequent(transactions, min_sup) -> dict[frozenset, int]:
-    """Support filter over every possible itemset, by brute enumeration."""
+def exhaustive_frequent(transactions, min_sup, max_size=None) -> dict[frozenset, int]:
+    """Support filter over every possible itemset of at most ``max_size``
+    items (any size by default), by brute enumeration."""
     universe = sorted({item for t in transactions for item in t})
     n = len(transactions)
     frequent: dict[frozenset, int] = {}
-    for size in range(1, len(universe) + 1):
+    for size in range(1, min(len(universe), max_size or len(universe)) + 1):
         for combo in itertools.combinations(universe, size):
             itemset = frozenset(combo)
             count = sum(1 for t in transactions if itemset <= frozenset(t))

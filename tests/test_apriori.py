@@ -2,12 +2,13 @@
 
 import io
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import exhaustive_frequent, make_record
+from conftest import datasets, exhaustive_frequent, make_record
 from crimeminer.apriori import (
     FrequentPattern,
     mine_frequent,
@@ -18,6 +19,7 @@ from crimeminer.apriori import (
     write_patterns_csv,
 )
 from crimeminer.errors import EmptyTransactionListError
+from crimeminer.vocab import WEEKDAY_NAMES
 
 ABC = [frozenset("abc"), frozenset("ab"), frozenset("ac"), frozenset("bc"), frozenset("abc")]
 
@@ -192,6 +194,18 @@ class TestHotspotMining:
         assert high_set <= low_set
         assert_mining_invariants(low)
         assert_mining_invariants(high)
+
+    @given(datasets, st.sampled_from([0.01, 0.05, 0.1, 0.3]))
+    def test_matches_independent_triple_counts(self, dataset, min_sup):
+        run = mine_hotspot_patterns(dataset, min_sup)
+        n = len(dataset)
+        triples = Counter((r.location, r.day, r.time.value) for r in dataset)
+        expected = [FrequentPattern(*triple, count / n, count)
+                    for triple, count in triples.items() if count / n >= min_sup]
+        expected.sort(key=lambda p: (p.location, WEEKDAY_NAMES.index(p.day), int(p.time[1:])))
+        assert run.patterns == expected
+        transactions = [record_transaction(r) for r in dataset]
+        assert run.frequent_sets() == set(exhaustive_frequent(transactions, min_sup, max_size=3))
 
     def test_absolute_count_thresholds_round_as_expected(self):
         # the documented operating points: fractions are authoritative

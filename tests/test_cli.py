@@ -21,6 +21,7 @@ from crimeminer.preprocess import read_unified_jsonl
 from crimeminer.synthetic import generate_synthetic_dataset
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+FIXTURE = str(DATA_DIR / "synthetic_crimes.jsonl")
 
 DEFAULT_COLUMNS = ingestion.DemographicsColumns.default()._asdict()
 MISSPELLED_COLUMNS = {**{k: v for k, v in DEFAULT_COLUMNS.items() if k != "age_brackets"},
@@ -408,6 +409,10 @@ class TestExitCodes:
         ["ingest", "--schema", "denver", "--input", "denver.csv", "--threads", "2"],
         ["train", "--model", "nb", "--threads", "2"],
         ["preprocess", "--schema", "denver", "--input", "raw.jsonl", "--max-reject-fraction", "nan"],
+        ["ingest", "--schema", "foo", "--input", "denver.csv"],
+        ["preprocess", "--schema", "foo", "--input", "raw.jsonl"],
+        ["stats", "--attribute", "Day"],
+        ["stats", "--rows", "day", "--cols", "day"],
     ], ids=" ".join)
     def test_out_of_range_or_foreign_flag_is_usage_error(self, pipeline, capsys, monkeypatch, flags):
         monkeypatch.chdir(pipeline)
@@ -480,6 +485,66 @@ class TestWholeOutputs:
                      "--output", os.devnull, "--summary", os.devnull]) == 0
         assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
+    @pytest.mark.parametrize("target", ["-", os.devnull, "/dev/stdout"])
+    def test_mine_puts_no_summary_beside_stdout_or_a_device(self, target):
+        args = cli._parse(["mine", "--dataset", FIXTURE, "--min-sup", "0.05", "--output", target])
+        assert [path for path, _ in args.handler(args)] == [target, None]
+
+    @pytest.mark.parametrize("argv, named", [
+        (["train", "--dataset", "unified.jsonl", "--model", "nb", "--output", "m.json",
+          "--eval-report", "m.json"], "m.json"),
+        (["evaluate", "--dataset", "unified.jsonl", "--model", "nb", "--folds", "3",
+          "--output", "x", "--csv", "./x"], "./x"),
+        (["evaluate", "--dataset", "unified.jsonl", "--model", "nb", "--folds", "3",
+          "--output", "x", "--csv", "link"], "link"),
+    ])
+    def test_two_outputs_naming_one_file_is_usage_error(self, pipeline, capsys, monkeypatch, argv, named):
+        monkeypatch.chdir(pipeline)
+        (pipeline / "x").write_bytes(b"kept\n")
+        (pipeline / "link").symlink_to("x")
+        before = tree(pipeline)
+        assert main(argv) == 1
+        assert named in assert_one_line_error(capsys, "usage error: ")
+        assert tree(pipeline) == before
+
+    def test_stdout_and_devices_may_repeat(self, pipeline, capsys, monkeypatch):
+        monkeypatch.chdir(pipeline)
+        for target in ("-", os.devnull):
+            assert main(["evaluate", "--dataset", "unified.jsonl", "--model", "nb", "--folds", "3",
+                         "--output", target, "--csv", target]) == 0
+        assert capsys.readouterr().out.count("class,precision,recall,f1,support\n") == 1
+
+
+def run_cli(argv: list[str], **kwargs) -> subprocess.CompletedProcess:
+    """``crimeminer argv`` in a fresh interpreter; keyword arguments go to ``subprocess.run``."""
+    return subprocess.run([sys.executable, "-m", "crimeminer.cli", *argv], env=cli_env(), timeout=120,
+                          **kwargs)
+
+
+class TestDescriptorTargets:
+    """``/dev/stdout`` and its kin are written through the descriptor they name."""
+
+    STATS = ["stats", "--dataset", FIXTURE, "--attribute", "time"]
+    EVALUATE = ["evaluate", "--dataset", FIXTURE, "--model", "nb", "--output", "-"]
+
+    @pytest.mark.parametrize("argv, dash", [
+        (STATS + ["--output", "/dev/stdout"], STATS + ["--output", "-"]),
+        (EVALUATE + ["--csv", "/dev/stdout"], EVALUATE + ["--csv", "-"]),
+    ], ids=["stats", "evaluate-json-then-csv"])
+    def test_pipe_gets_what_dash_gets(self, argv, dash):
+        done = run_cli(argv, capture_output=True)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout == run_cli(dash, capture_output=True, check=True).stdout
+
+    def test_appended_file_keeps_what_it_held(self, tmp_path):
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"earlier\n")
+        with open(out, "ab") as fp:
+            done = run_cli(self.STATS + ["--output", "/dev/stdout"], stdout=fp, stderr=subprocess.PIPE)
+        assert (done.returncode, done.stderr) == (0, b"")
+        dash = run_cli(self.STATS + ["--output", "-"], capture_output=True, check=True).stdout
+        assert out.read_bytes() == b"earlier\n" + dash
+
 
 class TestDashMeansStdout:
     @pytest.mark.parametrize("argv, expected", [
@@ -510,6 +575,12 @@ def assert_one_line_error(capsys, prefix: str) -> str:
     return err
 
 
+def cli_env(**extra: str) -> dict[str, str]:
+    """The environment for a fresh interpreter that imports this checkout's ``crimeminer``."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p), **extra)
+
+
 def modules_after(argv: list[str]) -> set[str]:
     """Module names in ``sys.modules`` after one ``main(argv)`` in a fresh interpreter."""
     script = (
@@ -518,9 +589,7 @@ def modules_after(argv: list[str]) -> set[str]:
         "try:\n    code = main(json.loads(sys.argv[1]))\nexcept SystemExit as exc:\n    code = exc.code\n"
         "print(json.dumps([code, sorted(sys.modules)]))\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run([sys.executable, "-c", script, json.dumps(argv)], env=env,
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(argv)], env=cli_env(),
                           capture_output=True, text=True, timeout=60, check=True)
     code, modules = json.loads(done.stdout.splitlines()[-1])
     assert code in (0, None), done.stderr
@@ -657,6 +726,48 @@ class TestConfigFile:
         ) == 0
         assert (pipeline / "explicit.csv").exists()
         assert read(pipeline / "explicit.csv") == read(pipeline / "from_config.csv")
+
+    def test_config_supplies_a_required_flag(self, pipeline, capsys, monkeypatch):
+        monkeypatch.chdir(pipeline)
+        Path("c.json").write_text(json.dumps({"dataset": "unified.jsonl"}), encoding="utf-8")
+        assert main(["stats", "--config", "c.json", "--attribute", "day", "--output", "a.csv"]) == 0
+        assert main(["stats", "--dataset", "unified.jsonl", "--attribute", "day", "--output", "b.csv"]) == 0
+        assert read(pipeline / "a.csv") == read(pipeline / "b.csv")
+        Path("c.json").write_text(json.dumps({"year": 2014}), encoding="utf-8")
+        assert main(["stats", "--config", "c.json", "--attribute", "day", "--output", "c.csv"]) == 1
+        err = assert_one_line_error(capsys, "usage error: ")
+        assert err == "usage error: the following arguments are required: --dataset\n"
+
+
+HASH_SEED_CHAIN = [
+    ["ingest", "--schema", "denver", "--input", "../denver.csv", "--output", "raw.jsonl",
+     "--report", "ingest.json"],
+    ["preprocess", "--schema", "denver", "--input", "raw.jsonl", "--output", "unified.jsonl",
+     "--report", "preprocess.json"],
+    ["demographics", "--dataset", "unified.jsonl", "--demographics", "../demo.csv", "--top", "2",
+     "--bottom", "2", "--output", "groups.csv", "--json", "groups.json"],
+    ["mine", "--dataset", FIXTURE, "--min-sup", "0.003", "--output", "patterns.csv"],
+    ["train", "--dataset", FIXTURE, "--model", "nb", "--output", "nb.json", "--eval-report", "nb-eval.json"],
+    ["train", "--dataset", FIXTURE, "--model", "dt", "--output", "dt.json", "--eval-report", "dt-eval.json"],
+    ["evaluate", "--dataset", FIXTURE, "--model", "dt", "--output", "cv.json", "--csv", "cv.csv"],
+    ["stats", "--dataset", FIXTURE, "--rows", "location", "--cols", "day", "--output", "crosstab.csv"],
+    ["stats", "--dataset", FIXTURE, "--top", "3", "--middle", "2", "--bottom", "3",
+     "--output", "ranking.csv"],
+]
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(pipeline):
+    """Set and dict order vary with ``PYTHONHASHSEED``; no output byte may."""
+    script = "import json, sys\nfrom crimeminer.cli import main\nsys.exit(max(map(main, json.loads(sys.argv[1]))))\n"
+    outputs = []
+    for seed in ("1", "2"):
+        work = pipeline / f"hash-seed-{seed}"
+        work.mkdir()
+        subprocess.run([sys.executable, "-c", script, json.dumps(HASH_SEED_CHAIN)], cwd=work,
+                       env=cli_env(PYTHONHASHSEED=seed), timeout=120, check=True)
+        outputs.append(tree(work))
+    assert len(outputs[0]) == 16
+    assert outputs[0] == outputs[1]
 
 
 # --- CLI fuzzing ----------------------------------------------------------------
