@@ -19,7 +19,7 @@ from pathlib import Path
 
 # Stage modules are imported inside the handlers that run them, so one call
 # (``predict``, ``--help``) does not load and compile the others.
-from .errors import CrimeMinerError
+from .errors import CrimeMinerError, UnmatchedNeighborhoodError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -69,6 +69,7 @@ def _attribute(text):
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON file supplying defaults for any flag of this subcommand")
     sub.add_argument("--output", default="-", help="output path ('-' = stdout, the default unless noted)")
+    sub.set_defaults(warning=None)  # a handler's note, printed once its outputs are in place
 
 
 def _ingest_flags(sub: argparse.ArgumentParser) -> None:
@@ -501,11 +502,20 @@ def _cmd_demographics(args):
     from . import demographics, ingestion
     dataset = _read_dataset(args.dataset)
     columns = ingestion.DemographicsColumns.from_json_file(args.columns) if args.columns else None
-    records, _report = ingestion.load_demographics_csv(args.demographics, columns)
+    records, report = ingestion.load_demographics_csv(args.demographics, columns)
+    if report.rows_rejected:
+        reasons = ", ".join(f"{k}: {n}" for k, n in sorted(report.rejection_reasons.items()))
+        args.warning = (f"{args.demographics}: {report.rows_rejected} of {report.rows_read} "
+                        f"demographics rows rejected ({reasons})")
     rates = demographics.crime_rate_by_location(dataset)
-    comparison = demographics.compare_groups(
-        rates, records, args.top, args.bottom, per_capita=args.per_capita
-    )
+    try:
+        comparison = demographics.compare_groups(
+            rates, records, args.top, args.bottom, per_capita=args.per_capita
+        )
+    except UnmatchedNeighborhoodError as exc:
+        if args.warning:  # a rejected row may be why
+            raise CrimeMinerError(f"{exc}; {args.warning}") from None
+        raise
     return [(args.output, functools.partial(demographics.write_comparison_csv, comparison)),
             (args.json, functools.partial(demographics.write_comparison_json, comparison))]
 
@@ -515,6 +525,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse(argv)
         _write_outputs(args.handler(args))
+        if args.warning:
+            print(f"warning: {args.warning}", file=sys.stderr)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

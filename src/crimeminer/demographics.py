@@ -36,23 +36,6 @@ def crime_rate_by_location(dataset: Sequence[UnifiedCrimeRecord]) -> list[Neighb
     ]
 
 
-def _metric_row(record: DemographicsRecord) -> dict[str, int]:
-    row = {
-        "population": record.population_total,
-        "male": record.male,
-        "female": record.female,
-        "housing_units_total": record.housing_units_total,
-        "occupied_units": record.occupied_units,
-        "vacant_units": record.vacant_units,
-        "owned_units": record.owned_units,
-        "rented_units": record.rented_units,
-    }
-    for label, count in record.age_brackets.items():
-        row[f"age_{label}"] = count
-    row.update(record.extras)
-    return row
-
-
 class GroupComparison(NamedTuple):
     """Dangerous vs. safe neighborhoods with per-neighborhood and group metrics."""
 
@@ -96,7 +79,7 @@ def compare_groups(
 
     if per_capita:
         def rate_key(r: NeighborhoodCrimeRate) -> float:
-            population = resolve(r.neighborhood).population_total
+            population = resolve(r.neighborhood).metrics["population"]
             return r.crime_count / population if population else float("inf")
         ordered = sorted(rates, key=lambda r: (-rate_key(r), r.neighborhood))
     else:
@@ -105,7 +88,7 @@ def compare_groups(
     dangerous = tuple(r.neighborhood for r in ordered[:top_k])
     safe = tuple(r.neighborhood for r in reversed(ordered[len(ordered) - bottom_k :]))
 
-    metrics = {name: _metric_row(resolve(name)) for name in (*dangerous, *safe)}
+    metrics = {name: dict(resolve(name).metrics) for name in (*dangerous, *safe)}
     metric_names = list(next(iter(metrics.values())))
     group_sums: dict[str, dict[str, int]] = {}
     group_means: dict[str, dict[str, float]] = {}

@@ -11,7 +11,6 @@ import csv
 import datetime as dt
 import json
 from importlib import resources
-from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 from .errors import (
@@ -288,38 +287,32 @@ def read_raw_jsonl(fp: TextIO) -> list[RawCrimeRecord]:
 
 # --- demographics -----------------------------------------------------------
 
-# The shared default of the optional ``extras`` tables: read-only.
-_NO_EXTRAS: Mapping = MappingProxyType({})
+# Column-map key -> metric name of the eight counts, in comparison order;
+# ``age_<label>`` per age bracket and the extras' labels follow them.
+COUNT_METRICS = {
+    "population": "population",
+    "male": "male",
+    "female": "female",
+    "housing_units": "housing_units_total",
+    "occupied": "occupied_units",
+    "vacant": "vacant_units",
+    "owned": "owned_units",
+    "rented": "rented_units",
+}
 
 
 class DemographicsColumns(NamedTuple):
     """Column-name bindings that select the demographics subset from a wide CSV."""
 
     neighborhood: str
-    population: str
-    male: str
-    female: str
-    housing_units: str
-    occupied: str
-    vacant: str
-    owned: str
-    rented: str
-    age_brackets: Mapping[str, str]
-    extras: Mapping[str, str] = _NO_EXTRAS
-
-    COUNT_FIELDS = (
-        "population", "male", "female", "housing_units", "occupied", "vacant", "owned", "rented",
-    )
-
-    def scalar_columns(self) -> dict[str, str]:
-        return {name: getattr(self, name) for name in self.COUNT_FIELDS}
+    metrics: Mapping[str, str]  # metric name -> CSV column, in comparison order
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "DemographicsColumns":
         """Bindings from a parsed column map; a malformed map raises ``ValueError``."""
         if not isinstance(obj, Mapping):
             raise ValueError("column map must be a JSON object")
-        names = ("neighborhood", *cls.COUNT_FIELDS)
+        names = ("neighborhood", *COUNT_METRICS)
         unknown = ", ".join(sorted(set(obj) - {*names, "age_brackets", "extras"}))
         if unknown:
             raise ValueError(f"column map has unknown keys: {unknown}")
@@ -330,7 +323,13 @@ class DemographicsColumns(NamedTuple):
         for name, table in tables.items():
             if not isinstance(table, Mapping) or not all(isinstance(v, str) for v in table.values()):
                 raise ValueError(f"column map {name!r} must map labels to column names")
-        return cls(**{name: obj[name] for name in names}, **{k: dict(t) for k, t in tables.items()})
+        metrics = {metric: obj[key] for key, metric in COUNT_METRICS.items()}
+        metrics.update((f"age_{label}", column) for label, column in tables["age_brackets"].items())
+        for label, column in tables["extras"].items():
+            if label in metrics:
+                raise ValueError(f"column map extras label {label!r} collides with metric {label!r}")
+            metrics[label] = column
+        return cls(obj["neighborhood"], metrics)
 
     @classmethod
     def from_json_file(cls, path) -> "DemographicsColumns":
@@ -350,16 +349,7 @@ class DemographicsRecord(NamedTuple):
     """Population and housing counts for one neighborhood."""
 
     neighborhood: str
-    population_total: int
-    male: int
-    female: int
-    age_brackets: Mapping[str, int]
-    housing_units_total: int
-    occupied_units: int
-    vacant_units: int
-    owned_units: int
-    rented_units: int
-    extras: Mapping[str, int] = _NO_EXTRAS
+    metrics: Mapping[str, int]  # metric name -> count, in the column map's order
 
 
 def _count(text: str) -> int:
@@ -383,43 +373,20 @@ def load_demographics_csv(
     report = IngestReport()
     records: list[DemographicsRecord] = []
     seen: set[str] = set()
-
-    scalar_columns = columns.scalar_columns()
-    required = [columns.neighborhood, *scalar_columns.values(),
-                *columns.age_brackets.values(), *columns.extras.values()]
-    for _, cells in _csv_rows(path, required, report):
+    for _, cells in _csv_rows(path, [columns.neighborhood, *columns.metrics.values()], report):
         try:
             name = normalize_location(_nonempty(cells[0], "missing-neighborhood"))
             if name in seen:
                 raise DuplicateNeighborhoodError(f"neighborhood {name!r} appears more than once")
-            # Each zip stops at its labels, so the three take consecutive counts.
-            counts = iter([_count(cell) for cell in cells[1:]])
-            scalars = dict(zip(scalar_columns, counts))
-            brackets = dict(zip(columns.age_brackets, counts))
-            extras = dict(zip(columns.extras, counts))
-            if scalars["occupied"] + scalars["vacant"] != scalars["housing_units"]:
+            metrics = dict(zip(columns.metrics, [_count(cell) for cell in cells[1:]]))
+            if metrics["occupied_units"] + metrics["vacant_units"] != metrics["housing_units_total"]:
                 raise _Rejected("unit-sum-mismatch")
-            if scalars["male"] + scalars["female"] != scalars["population"]:
+            if metrics["male"] + metrics["female"] != metrics["population"]:
                 raise _Rejected("gender-sum-mismatch")
         except _Rejected as exc:
             report.reject(exc.args[0])
             continue
-
         seen.add(name)
-        records.append(
-            DemographicsRecord(
-                neighborhood=name,
-                population_total=scalars["population"],
-                male=scalars["male"],
-                female=scalars["female"],
-                age_brackets=brackets,
-                housing_units_total=scalars["housing_units"],
-                occupied_units=scalars["occupied"],
-                vacant_units=scalars["vacant"],
-                owned_units=scalars["owned"],
-                rented_units=scalars["rented"],
-                extras=extras,
-            )
-        )
+        records.append(DemographicsRecord(name, metrics))
         report.accept()
     return records, report

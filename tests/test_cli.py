@@ -23,7 +23,7 @@ from crimeminer.synthetic import generate_synthetic_dataset
 SRC = Path(__file__).resolve().parents[1] / "src"
 FIXTURE = str(DATA_DIR / "synthetic_crimes.jsonl")
 
-DEFAULT_COLUMNS = ingestion.DemographicsColumns.default()._asdict()
+DEFAULT_COLUMNS = json.loads((SRC / "crimeminer" / "data" / "demographics_columns.json").read_text("utf-8"))
 MISSPELLED_COLUMNS = {**{k: v for k, v in DEFAULT_COLUMNS.items() if k != "age_brackets"},
                       "age_bracket": DEFAULT_COLUMNS["age_brackets"]}
 NB_MODEL = classify.nb_to_json_dict(classify.nb_train(generate_synthetic_dataset()[:100]))
@@ -226,7 +226,7 @@ class TestPipeline:
         assert len(result["fold_accuracies"]) == 3
         assert read(pipeline / "cv.csv").startswith("class,precision")
 
-    def test_demographics_comparison(self, pipeline):
+    def test_demographics_comparison(self, pipeline, capsys):
         out = pipeline / "compare.csv"
         assert main(
             ["demographics", "--dataset", str(pipeline / "unified.jsonl"),
@@ -238,6 +238,27 @@ class TestPipeline:
         obj = json.loads(read(pipeline / "compare.json"))
         assert obj["dangerous"][0] == "five-points"
         assert "wellshire" in obj["safe"]
+        assert capsys.readouterr().err == ""
+
+    def test_rejected_demographics_rows_are_reported(self, pipeline, capsys):
+        """Baker's MALE + 1 breaks male + female == population, so its row is rejected."""
+        demo = pipeline / "demo.csv"
+        without_baker = pipeline / "without-baker.csv"
+        without_baker.write_text(DEMO_CSV.replace(DEMO_CSV.splitlines()[3] + "\n", ""), encoding="utf-8")
+        demo.write_text(DEMO_CSV.replace("Baker,2000,1100,", "Baker,2000,1101,"), encoding="utf-8")
+        argv = ["demographics", "--dataset", str(pipeline / "unified.jsonl"), "--top", "1", "--bottom", "1"]
+        summary = f"{demo}: 1 of 4 demographics rows rejected (gender-sum-mismatch: 1)"
+        assert main([*argv, "--demographics", str(without_baker), "--output", str(pipeline / "a.csv")]) == 0
+        assert capsys.readouterr().err == ""
+        assert main([*argv, "--demographics", str(demo), "--output", str(pipeline / "b.csv")]) == 0
+        assert capsys.readouterr().err == f"warning: {summary}\n"
+        assert read(pipeline / "b.csv") == read(pipeline / "a.csv")
+        # --bottom 2 selects baker (one crime, tied with wellshire)
+        assert main(["demographics", "--dataset", str(pipeline / "unified.jsonl"), "--demographics", str(demo),
+                     "--top", "2", "--bottom", "2", "--output", str(pipeline / "c.csv")]) == 2
+        line = assert_one_line_error(capsys, "error: ")
+        assert line == f"error: neighborhood 'baker' not found in demographics; {summary}\n"
+        assert not (pipeline / "c.csv").exists()
 
 
 class TestExitCodes:
@@ -364,6 +385,12 @@ class TestExitCodes:
         pytest.param(["predict", "--model", "side.json", "--month", "June", "--day", "Friday",
                       "--time", "T6", "--location", "cbd"], "[" * 5000, "malformed model", id="model-deep"),
         pytest.param(COLUMNS_ARGV, json.dumps(MISSPELLED_COLUMNS), "age_bracket", id="columns-unknown-key"),
+        pytest.param(COLUMNS_ARGV, json.dumps({**DEFAULT_COLUMNS, "extras": {"male": "MALE"}}),
+                     "side.json: column map extras label 'male' collides with metric 'male'",
+                     id="columns-extra-is-a-count"),
+        pytest.param(COLUMNS_ARGV, json.dumps({**DEFAULT_COLUMNS, "extras": {"age_20-29": "AGE_20_TO_29"}}),
+                     "side.json: column map extras label 'age_20-29' collides with metric 'age_20-29'",
+                     id="columns-extra-is-an-age-bracket"),
         pytest.param(INGEST_ARGV, CSV_HEADER + "1," + "x" * 200000 + ",6/13/14 21:30,cbd,1\n",
                      "side.json: line 2", id="csv-cell-over-field-limit"),
         pytest.param(INGEST_ARGV, CSV_HEADER.encode() + b"1,larceny,6/13/14 21:30,caf\xe9,1\n",

@@ -1,6 +1,8 @@
 """Neighborhood crime ranking and dangerous-vs-safe group comparison."""
 
+import hashlib
 import io
+import random
 
 import pytest
 from hypothesis import given
@@ -11,30 +13,31 @@ from crimeminer.demographics import (
     comparison_to_json_dict,
     crime_rate_by_location,
     write_comparison_csv,
+    write_comparison_json,
 )
 from crimeminer.errors import (
     EmptyDatasetError,
     GroupSelectionError,
     UnmatchedNeighborhoodError,
 )
-from crimeminer.ingestion import DemographicsRecord
+from crimeminer.ingestion import DemographicsColumns, DemographicsRecord, load_demographics_csv
 
 
 def demo(name, population=100, male=None, female=None, units=50, occupied=45, vacant=5, ages=None):
     male = population * 6 // 10 if male is None else male
     female = population - male if female is None else female
-    return DemographicsRecord(
-        neighborhood=name,
-        population_total=population,
-        male=male,
-        female=female,
-        age_brackets=ages or {"20-29": population // 4, "50-59": population // 10},
-        housing_units_total=units,
-        occupied_units=occupied,
-        vacant_units=vacant,
-        owned_units=30,
-        rented_units=15,
-    )
+    ages = ages or {"20-29": population // 4, "50-59": population // 10}
+    return DemographicsRecord(name, {
+        "population": population,
+        "male": male,
+        "female": female,
+        "housing_units_total": units,
+        "occupied_units": occupied,
+        "vacant_units": vacant,
+        "owned_units": 30,
+        "rented_units": 15,
+        **{f"age_{label}": count for label, count in ages.items()},
+    })
 
 
 class TestCrimeRateByLocation:
@@ -91,10 +94,10 @@ class TestCompareGroups:
         dataset, demographics = six_neighborhood_setup()
         comparison = compare_groups(crime_rate_by_location(dataset), demographics)
         by_name = {d.neighborhood: d for d in demographics}
-        expected_sum = sum(by_name[n].vacant_units for n in comparison.dangerous)
+        expected_sum = sum(by_name[n].metrics["vacant_units"] for n in comparison.dangerous)
         assert comparison.group_sums["dangerous"]["vacant_units"] == expected_sum
         assert comparison.group_means["dangerous"]["vacant_units"] == pytest.approx(expected_sum / 3)
-        assert comparison.metrics["a"]["age_20-29"] == by_name["a"].age_brackets["20-29"]
+        assert comparison.metrics["a"]["age_20-29"] == by_name["a"].metrics["age_20-29"]
 
     def test_demographics_row_order_is_irrelevant(self):
         dataset, demographics = six_neighborhood_setup()
@@ -127,19 +130,18 @@ class TestCompareGroups:
     def test_extra_columns_are_echoed_into_metrics(self):
         dataset = [make_record(location=n) for n in ("a", "a", "b")]
         records = [
-            DemographicsRecord(
-                neighborhood=n,
-                population_total=10,
-                male=5,
-                female=5,
-                age_brackets={"20-29": 4},
-                housing_units_total=6,
-                occupied_units=5,
-                vacant_units=1,
-                owned_units=3,
-                rented_units=2,
-                extras={"race_white": 7 + i},
-            )
+            DemographicsRecord(n, {
+                "population": 10,
+                "male": 5,
+                "female": 5,
+                "housing_units_total": 6,
+                "occupied_units": 5,
+                "vacant_units": 1,
+                "owned_units": 3,
+                "rented_units": 2,
+                "age_20-29": 4,
+                "race_white": 7 + i,
+            })
             for i, n in enumerate(("a", "b"))
         ]
         comparison = compare_groups(
@@ -184,3 +186,54 @@ class TestComparisonOutput:
         obj = comparison_to_json_dict(comparison)
         assert obj["dangerous"] == ["a", "b", "c"]
         assert obj["group_sums"]["safe"]["population"] == comparison.group_sums["safe"]["population"]
+
+
+PINNED_COLUMNS = {
+    "neighborhood": "NBHD", "population": "POP", "male": "M", "female": "F",
+    "housing_units": "HU", "occupied": "OCC", "vacant": "VAC", "owned": "OWN", "rented": "RENT",
+    "age_brackets": {"20-29": "AGE_20_29"},
+    "extras": {"median_income": "INCOME"},
+}
+
+
+def pinned_comparison_inputs(tmp_path):
+    """2000 seeded crimes over 16 neighborhoods, and their demographics
+    through a column map with one age bracket and one extra."""
+    rng = random.Random(2010)
+    path = tmp_path / "pinned_demo.csv"
+    lines = ["NBHD,POP,M,F,HU,OCC,VAC,OWN,RENT,AGE_20_29,INCOME"]
+    for i in range(16):
+        population, units = rng.randrange(500, 20000), rng.randrange(200, 8000)
+        male, occupied = rng.randrange(population + 1), rng.randrange(units + 1)
+        owned = rng.randrange(occupied + 1)
+        lines.append(f"Nbhd {i:02d},{population},{male},{population - male},{units},{occupied},"
+                     f"{units - occupied},{owned},{occupied - owned},{rng.randrange(population + 1)},"
+                     f"{rng.randrange(20000, 150000)}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    records, report = load_demographics_csv(path, DemographicsColumns.from_json_dict(PINNED_COLUMNS))
+    assert report.rows_accepted == 16
+    weights = [rng.random() ** 2 for _ in range(16)]
+    locations = rng.choices([f"nbhd-{i:02d}" for i in range(16)], weights, k=2000)
+    return crime_rate_by_location([make_record(location=name) for name in locations]), records
+
+
+def sha256_of(write, obj) -> str:
+    buffer = io.StringIO()
+    write(obj, buffer)
+    return hashlib.sha256(buffer.getvalue().encode()).hexdigest()
+
+
+class TestPinnedComparisonBytes:
+    """groups.csv and groups.json bytes as the per-field record wrote them."""
+
+    @pytest.mark.parametrize("per_capita, csv_sha, json_sha", [
+        (False, "d33f6ea0b291eae1acd6e171aa4340e28d2a4bd16da949ace85478d0707e3f37",
+         "3762c815b7d42fd561a96f79f03c76407a42ae0096e2d93f48a43b3c11c89ec0"),
+        (True, "49e5434d172d543c3b1556d8878f4e2d2e001867fe46d7e24c73763bfcdb9413",
+         "0460bbc60554d3639321743b5db114f278ff6d3f586651bcd063e678a1710e18"),
+    ], ids=["raw", "per-capita"])
+    def test_csv_and_json_bytes(self, tmp_path, per_capita, csv_sha, json_sha):
+        rates, records = pinned_comparison_inputs(tmp_path)
+        comparison = compare_groups(rates, records, top_k=4, bottom_k=3, per_capita=per_capita)
+        assert sha256_of(write_comparison_csv, comparison) == csv_sha
+        assert sha256_of(write_comparison_json, comparison) == json_sha

@@ -233,8 +233,8 @@ class TestDemographics:
         records, report = load_demographics_csv(write_csv(tmp_path, text))
         assert report.rows_accepted == 2
         assert [r.neighborhood for r in records] == ["five-points", "wellshire"]
-        assert records[0].population_total == 100
-        assert records[0].age_brackets["20-29"] == 20
+        assert records[0].metrics["population"] == 100
+        assert records[0].metrics["age_20-29"] == 20
 
     def test_unit_sum_mismatch_rejected(self, tmp_path):
         text = DEMO_HEADER + demo_row("baker", units=50, occupied=40, vacant=5)
@@ -272,32 +272,35 @@ class TestDemographics:
         assert report.rows_accepted == 78
 
     def test_custom_column_map(self, tmp_path):
-        columns = DemographicsColumns(
-            neighborhood="hood",
-            population="pop",
-            male="m",
-            female="f",
-            housing_units="hu",
-            occupied="occ",
-            vacant="vac",
-            owned="own",
-            rented="rent",
-            age_brackets={"20-29": "a2029"},
-            extras={"race_white": "white"},
-        )
+        columns = DemographicsColumns.from_json_dict({
+            "neighborhood": "hood",
+            "population": "pop",
+            "male": "m",
+            "female": "f",
+            "housing_units": "hu",
+            "occupied": "occ",
+            "vacant": "vac",
+            "owned": "own",
+            "rented": "rent",
+            "age_brackets": {"20-29": "a2029"},
+            "extras": {"race_white": "white"},
+        })
         text = "hood,pop,m,f,hu,occ,vac,own,rent,a2029,white\nBaker,10,6,4,5,4,1,2,2,3,7\n"
         records, _ = load_demographics_csv(write_csv(tmp_path, text), columns)
-        assert records[0].age_brackets == {"20-29": 3}
-        assert records[0].extras == {"race_white": 7}
+        assert records[0].metrics == {
+            "population": 10, "male": 6, "female": 4, "housing_units_total": 5, "occupied_units": 4,
+            "vacant_units": 1, "owned_units": 2, "rented_units": 2, "age_20-29": 3, "race_white": 7,
+        }
+        assert list(records[0].metrics)[-2:] == ["age_20-29", "race_white"]
 
     def test_column_named_twice(self, tmp_path):
-        columns = DemographicsColumns.default()._replace(
-            extras={"residents": "POPULATION_2010", "men": "male"}
-        )
+        default = DemographicsColumns.default()
+        columns = default._replace(metrics={**default.metrics, "residents": "POPULATION_2010", "men": "male"})
         records, report = load_demographics_csv(write_csv(tmp_path, DEMO_HEADER + demo_row("baker")), columns)
         assert report.rows_accepted == 1
-        assert records[0].population_total == 100 and records[0].age_brackets["80+"] == 5
-        assert records[0].extras == {"residents": 100, "men": 60}
+        assert records[0].metrics["population"] == 100 and records[0].metrics["age_80+"] == 5
+        extras = dict(list(records[0].metrics.items())[17:])  # after 8 counts and 9 age brackets
+        assert extras == {"residents": 100, "men": 60}
 
 
 @given(
