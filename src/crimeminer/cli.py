@@ -381,6 +381,7 @@ def _read_dataset(path):
 
 def _cmd_stats(args):
     from . import stats
+    # Every check of the flags alone comes before the dataset is read.
     wants_freq = args.attribute is not None
     wants_crosstab = args.rows is not None or args.cols is not None
     wants_locations = any(v is not None for v in (args.top, args.middle, args.bottom))
@@ -388,22 +389,24 @@ def _cmd_stats(args):
         raise UsageError(
             "pick exactly one mode: --attribute, --rows/--cols, or --top/--middle/--bottom"
         )
+    if wants_crosstab:
+        if args.rows is None or args.cols is None:
+            raise UsageError("crosstab needs both --rows and --cols")
+        if args.rows == args.cols:
+            raise UsageError(f"--rows and --cols both name {args.rows}; a crosstab needs two attributes")
+    if wants_locations:
+        if None in (args.top, args.middle, args.bottom):
+            raise UsageError("location ranking needs --top, --middle, and --bottom")
+        if args.year is not None:
+            raise UsageError("--year does not apply to the location ranking")
     dataset = _read_dataset(args.dataset)
     if wants_freq:
         table = stats.frequency_table(dataset, args.attribute, args.year)
         write = stats.write_frequency_csv
     elif wants_crosstab:
-        if args.rows is None or args.cols is None:
-            raise UsageError("crosstab needs both --rows and --cols")
-        if args.rows == args.cols:
-            raise UsageError(f"--rows and --cols both name {args.rows}; a crosstab needs two attributes")
         table = stats.crosstab(dataset, args.rows, args.cols, args.year)
         write = stats.write_crosstab_csv
     else:
-        if None in (args.top, args.middle, args.bottom):
-            raise UsageError("location ranking needs --top, --middle, and --bottom")
-        if args.year is not None:
-            raise UsageError("--year does not apply to the location ranking")
         table = stats.top_and_bottom_locations(dataset, args.top, args.bottom, args.middle)
         write = stats.write_frequency_csv
     return [(args.output, functools.partial(write, table))]
@@ -430,10 +433,10 @@ def _cmd_mine(args):
 
 def _cmd_train(args):
     from . import classify
+    if args.train_fraction == 1.0 and args.eval_report is not None:
+        raise UsageError("--eval-report needs --train-fraction < 1.0")
     dataset = _read_dataset(args.dataset)
     if args.train_fraction == 1.0:
-        if args.eval_report is not None:
-            raise UsageError("--eval-report needs --train-fraction < 1.0")
         train, test = list(dataset), []
     else:
         spec = classify.SplitSpec(train_fraction=args.train_fraction, seed=args.seed)

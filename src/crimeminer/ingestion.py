@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import functools
 import json
 from importlib import resources
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
@@ -50,9 +51,6 @@ class IngestReport:
         self.rows_read = self.rows_accepted = self.rows_rejected = 0
         self.rejection_reasons: dict[str, int] = {}
 
-    def accept(self) -> None:
-        self.rows_accepted += 1
-
     def reject(self, reason: str) -> None:
         self.rows_rejected += 1
         self.rejection_reasons[reason] = self.rejection_reasons.get(reason, 0) + 1
@@ -73,25 +71,28 @@ def _parse_clock(text: str) -> dt.time:
     return dt.time(int(fields[0]), int(fields[1]))
 
 
-def _parse_flexible_date(text: str) -> tuple[dt.date, dt.time | None]:
-    """Parse ``M/D/YY[YY] [H:MM[:SS]]`` or ISO ``YYYY-MM-DD[ HH:MM[:SS]]``.
+def _parse_slash_date(text: str) -> dt.date:
+    """Parse ``M/D/YY[YY]``; two-digit years pivot at 2000 (``14`` means 2014)."""
+    fields = text.split("/")
+    if len(fields) != 3:
+        raise ValueError(f"bad date value {text!r}")
+    month, day, year = (int(f) for f in fields)
+    if year < 100:
+        year += 2000
+    return dt.date(year, month, day)
 
-    Two-digit years pivot at 2000 (``14`` means 2014). Returns the time part
-    as ``None`` when the value carries no clock component.
+
+def _parse_flexible_date(text: str, dates, clocks) -> tuple[dt.date, dt.time | None]:
+    """Parse ``M/D/YY[YY] [H:MM[:SS]]`` or ISO ``YYYY-MM-DD[ HH:MM[:SS]]``,
+    the slash-date and clock parts through ``dates`` and ``clocks``.
+
+    Returns the time part as ``None`` when the value carries no clock component.
     """
     parts = text.split()
     if "/" in parts[0]:
         if len(parts) > 2:
             raise ValueError(f"bad date value {text!r}")
-        fields = parts[0].split("/")
-        if len(fields) != 3:
-            raise ValueError(f"bad date value {text!r}")
-        month, day, year = (int(f) for f in fields)
-        if year < 100:
-            year += 2000
-        date = dt.date(year, month, day)
-        time = _parse_clock(parts[1]) if len(parts) == 2 else None
-        return date, time
+        return dates(parts[0]), clocks(parts[1]) if len(parts) == 2 else None
     if len(text) <= 10:
         return dt.date.fromisoformat(text), None
     stamp = dt.datetime.fromisoformat(text)
@@ -131,10 +132,10 @@ def _nonempty(text: str, reason: str) -> str:
     return text
 
 
-def _parses(parse, text: str, reason: str):
+def _parses(parse, text: str, reason: str, *args):
     try:
-        return parse(text)
-    except ValueError:
+        return parse(text, *args)
+    except (ValueError, OverflowError):  # OverflowError: a number too large for a date
         raise _Rejected(reason) from None
 
 
@@ -171,9 +172,9 @@ def _csv_rows(path, required: Sequence[str], report: IngestReport) -> Iterator[t
             raise FileUnreadableError(f"cannot read {path}: not UTF-8 text: {exc.reason}") from None
 
 
-def _denver_when(cells: Sequence[str]) -> tuple[dt.date, dt.time, bool]:
+def _denver_when(cells: Sequence[str], dates, clocks, _military) -> tuple[dt.date, dt.time, bool]:
     _, stamp, _, flag = cells
-    date, time = _parses(_parse_flexible_date, _nonempty(stamp, "missing-datetime"), "bad-datetime")
+    date, time = _parses(_parse_flexible_date, _nonempty(stamp, "missing-datetime"), "bad-datetime", dates, clocks)
     if time is None:
         raise _Rejected("missing-time")
     is_crime = _FLAG_VALUES.get(flag.lower())
@@ -182,14 +183,14 @@ def _denver_when(cells: Sequence[str]) -> tuple[dt.date, dt.time, bool]:
     return date, time, is_crime
 
 
-def _la_when(cells: Sequence[str]) -> tuple[dt.date, dt.time, None]:
+def _la_when(cells: Sequence[str], dates, clocks, military) -> tuple[dt.date, dt.time, None]:
     _, raw_date, raw_time, _ = cells
     parts = raw_date.split()
     if len(parts) == 3 and parts[2].upper() in ("AM", "PM"):
         # The current export's "01/08/2020 12:00:00 AM": TIME OCC carries the time.
         raw_date = f"{parts[0]} {parts[1]}"
-    date, _ = _parses(_parse_flexible_date, _nonempty(raw_date, "missing-date"), "bad-date")
-    time = _parses(_parse_military_time, _nonempty(raw_time, "missing-time"), "bad-time")
+    date, _ = _parses(_parse_flexible_date, _nonempty(raw_date, "missing-date"), "bad-date", dates, clocks)
+    time = _parses(military, _nonempty(raw_time, "missing-time"), "bad-time")
     return date, time, None
 
 
@@ -211,17 +212,20 @@ def load_crime_csv(path, schema: Schema) -> tuple[list[RawCrimeRecord], IngestRe
     report = IngestReport()
     records: list[RawCrimeRecord] = []
     required, location_at, when = _CRIME_LAYOUTS[schema]
+    # Each distinct value is normalised or parsed once per call. A failed
+    # parse is not kept, so a bad value is rejected alike wherever it appears.
+    categories, locations, *parsers = map(functools.cache, (
+        normalize_category, normalize_location, _parse_slash_date, _parse_clock, _parse_military_time))
     for row_number, cells in _csv_rows(path, required, report):
         try:
             category = _nonempty(cells[0], "missing-category")
             location = _nonempty(cells[location_at], "missing-location")
-            date, time, is_crime = when(cells)
+            date, time, is_crime = when(cells, *parsers)
         except _Rejected as exc:
             report.reject(exc.args[0])
             continue
-        records.append(RawCrimeRecord(normalize_category(category), date, time,
-                                      normalize_location(location), is_crime, row_number))
-        report.accept()
+        records.append(RawCrimeRecord(categories(category), date, time, locations(location), is_crime, row_number))
+    report.rows_accepted = len(records)
     return records, report
 
 
@@ -255,31 +259,53 @@ def raw_to_json_dict(record: RawCrimeRecord) -> dict:
     }
 
 
-def raw_from_json_dict(obj: Mapping) -> RawCrimeRecord:
+def raw_from_json_dict(obj: Mapping, dates=dt.date.fromisoformat, clocks=_parse_clock) -> RawCrimeRecord:
     time = obj.get("time")
     return RawCrimeRecord(
         str(obj["category"]),
-        dt.date.fromisoformat(obj["date"]),
-        _parse_clock(time) if time is not None else None,
+        dates(obj["date"]),
+        clocks(time) if time is not None else None,
         str(obj["location"]),
         obj.get("is_crime"),
         int(obj.get("source_row", 0)),
     )
 
 
+# One line of ``json.dumps(raw_to_json_dict(record), sort_keys=True)``. Only
+# the category and location, free text, can need escaping.
+_RAW_LINE = '{"category": %s, "date": "%s", "is_crime": %s, "location": %s, "source_row": %d, "time": %s}\n'
+
+
+def _flag_json(flag) -> str:
+    if flag is True:
+        return "true"
+    if flag is False:
+        return "false"
+    return "null" if flag is None else json.dumps(flag)
+
+
+def _clock_json(time: dt.time | None) -> str:
+    return "null" if time is None else time.strftime('"%H:%M"')
+
+
 def write_raw_jsonl(records: Iterable[RawCrimeRecord], fp: TextIO) -> None:
-    for record in records:
-        fp.write(json.dumps(raw_to_json_dict(record), sort_keys=True))
-        fp.write("\n")
+    quoted, clocks = functools.cache(json.dumps), functools.cache(_clock_json)
+    fp.writelines(_RAW_LINE % (quoted(r.offense_category), r.date.isoformat(), _flag_json(r.is_crime),
+                               quoted(r.location_name), r.source_row, clocks(r.time)) for r in records)
 
 
 def read_raw_jsonl(fp: TextIO) -> list[RawCrimeRecord]:
+    from .preprocess import json_line  # imported here: the ingest stage loads no preprocess
+    # Each distinct date and clock text is parsed once; other values take the plain parsers.
+    dates, clocks = functools.cache(dt.date.fromisoformat), functools.cache(_parse_clock)
     records = []
     for line_number, line in enumerate(fp, start=1):
         if not line.strip():
             continue
         try:
-            records.append(raw_from_json_dict(json.loads(line)))
+            obj = json_line(line)
+            memoised = type(obj.get("date")) is str and type(obj.get("time")) in (str, type(None))
+            records.append(raw_from_json_dict(obj, dates, clocks) if memoised else raw_from_json_dict(obj))
         except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ValueError(f"bad raw record on line {line_number}: {exc}") from exc
     return records
@@ -388,5 +414,5 @@ def load_demographics_csv(
             continue
         seen.add(name)
         records.append(DemographicsRecord(name, metrics))
-        report.accept()
+    report.rows_accepted = len(records)
     return records, report

@@ -8,6 +8,7 @@ The raw clock hour is kept alongside for hour-resolution statistics.
 from __future__ import annotations
 
 import datetime as dt
+import functools
 import json
 from importlib import resources
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence, TextIO
@@ -22,17 +23,20 @@ if TYPE_CHECKING:
     from .ingestion import RawCrimeRecord
 
 
+def _calendar(date: dt.date) -> tuple[str, str, int]:
+    return MONTH_NAMES[date.month - 1], WEEKDAY_NAMES[date.weekday()], date.year
+
+
+_HOUR_BINS = tuple(bin_time(hour) for hour in range(24))
+
+
 def derive_temporal(when: dt.datetime) -> tuple[str, str, TimeBin, int]:
     """Month name, weekday name, time bin, and year of a civil timestamp.
 
     Minutes are ignored; the bin is determined by the hour alone.
     """
-    return (
-        MONTH_NAMES[when.month - 1],
-        WEEKDAY_NAMES[when.weekday()],
-        bin_time(when.hour),
-        when.year,
-    )
+    month, day, year = _calendar(when)
+    return month, day, bin_time(when.hour), year
 
 
 class TypeMapping(NamedTuple):
@@ -119,22 +123,24 @@ def preprocess_dataset(
     """
     report = PreprocessReport(schema.value)
     out: list[UnifiedCrimeRecord] = []
-    for record in records:
-        report.rows_in += 1
-        if record.time is None:
+    entries = mapping.entries
+    calendar = functools.cache(_calendar)  # one derivation per distinct date
+    new = tuple.__new__  # builds the record as UnifiedCrimeRecord._make does, without a Python frame
+    for raw_category, date, time, location, _, _ in records:
+        if time is None:
             report.reject("missing-time")
             continue
-        try:
-            category = map_crime_type(record.offense_category, mapping)
-        except UnmappedCategoryError:
+        category = entries.get(raw_category)
+        if category is None:
             report.reject("unmapped-category")
             counts = report.rejected_categories
-            counts[record.offense_category] = counts.get(record.offense_category, 0) + 1
+            counts[raw_category] = counts.get(raw_category, 0) + 1
             continue
-        month, day, time_bin, year = derive_temporal(dt.datetime.combine(record.date, record.time))
-        out.append(UnifiedCrimeRecord(category, month, day, time_bin, record.location_name, year,
-                                      record.time.hour))
-        report.rows_out += 1
+        month, day, year = calendar(date)
+        hour = time.hour
+        out.append(new(UnifiedCrimeRecord, (category, month, day, _HOUR_BINS[hour], location, year, hour)))
+    report.rows_out = len(out)
+    report.rows_in = report.rows_out + report.rows_rejected
 
     if report.rows_in and report.rows_rejected / report.rows_in > max_reject_fraction:
         worst = sorted(report.rejected_categories.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
@@ -218,10 +224,33 @@ def _canonical_record(obj) -> UnifiedCrimeRecord | None:
     return UnifiedCrimeRecord(category, month, day, time_bin, location, year, hour)
 
 
+# One line of ``json.dumps(unified_to_json_dict(record), sort_keys=True)``.
+# Only the location, free text, can need escaping; the other strings come
+# from closed vocabularies and go in as they are.
+_UNIFIED_LINE = ('{"day": "%s", "hour": %d, "location": %s, "month": "%s", "time": "%s", '
+                 '"type": "%s", "type_id": %d, "year": %d}\n')
+_LABELS = {category: category.label for category in CrimeCategory}
+_BIN_VALUES = {time_bin: time_bin.value for time_bin in TimeBin}
+
+
 def write_unified_jsonl(records: Iterable[UnifiedCrimeRecord], fp: TextIO) -> None:
-    for record in records:
-        fp.write(json.dumps(unified_to_json_dict(record), sort_keys=True))
-        fp.write("\n")
+    quoted = functools.cache(json.dumps)  # one encoding per distinct location
+    fp.writelines(_UNIFIED_LINE % (r.day, r.hour, quoted(r.location), r.month, _BIN_VALUES[r.time],
+                                   _LABELS[r.crime_type], r.crime_type, r.year) for r in records)
+
+
+_scan_once = json.decoder.JSONDecoder().scan_once
+
+
+def json_line(line: str):
+    """``json.loads(line)``: the value, or the same error. A line holding one
+    value and at most its newline takes one pass of the C scanner; any other
+    (leading whitespace, trailing data, no value) takes ``json.loads``."""
+    try:
+        value, end = _scan_once(line, 0)
+    except StopIteration:
+        return json.loads(line)
+    return value if end == len(line) or line[end:] == "\n" else json.loads(line)
 
 
 def read_unified_jsonl(fp: TextIO) -> list[UnifiedCrimeRecord]:
@@ -230,7 +259,7 @@ def read_unified_jsonl(fp: TextIO) -> list[UnifiedCrimeRecord]:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = json_line(line)
             records.append(_canonical_record(obj) or unified_from_json_dict(obj))
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ValueError(f"bad unified record on line {line_number}: {exc}") from exc

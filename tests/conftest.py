@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from pathlib import Path
 
@@ -10,14 +11,17 @@ import pytest
 from hypothesis import strategies as st
 
 from crimeminer.classify import FEATURES, FeatureVector, feature_of
+from crimeminer.ingestion import raw_from_json_dict
 from crimeminer.preprocess import (
     MONTH_NAMES,
     TIME_BIN_ORDER,
     WEEKDAY_NAMES,
     CrimeCategory,
     UnifiedCrimeRecord,
+    _canonical_record,
     bin_time,
     read_unified_jsonl,
+    unified_from_json_dict,
 )
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -143,3 +147,30 @@ def brute_force_best_split(records):
             listed.append((gain, feature, value))
     top = max(gain for gain, _, _ in listed)
     return [entry for entry in listed if entry[0] >= top - 1e-12] if top > 0.0 else []
+
+
+def reference_read_unified_jsonl(fp) -> list[UnifiedCrimeRecord]:
+    """``read_unified_jsonl`` with one plain ``json.loads`` per line."""
+    records = []
+    for line_number, line in enumerate(fp, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            records.append(_canonical_record(obj) or unified_from_json_dict(obj))
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
+            raise ValueError(f"bad unified record on line {line_number}: {exc}") from exc
+    return records
+
+
+def reference_read_raw_jsonl(fp):
+    """``read_raw_jsonl`` with one plain ``json.loads`` per line and no memo."""
+    records = []
+    for line_number, line in enumerate(fp, start=1):
+        if not line.strip():
+            continue
+        try:
+            records.append(raw_from_json_dict(json.loads(line)))
+        except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
+            raise ValueError(f"bad raw record on line {line_number}: {exc}") from exc
+    return records

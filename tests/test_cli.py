@@ -300,6 +300,21 @@ class TestExitCodes:
         assert main(["predict", "--model", str(model), "--month", "June",
                      "--day", "Friday", "--time", "T6", "--location", "   "]) == 1
 
+    @pytest.mark.parametrize("flags, message", [pytest.param(flags, message, id=flags) for flags, message in [
+        ("stats", "pick exactly one mode"),
+        ("stats --attribute day --top 3", "pick exactly one mode"),
+        ("stats --rows type", "crosstab needs both --rows and --cols"),
+        ("stats --rows day --cols day", "--rows and --cols both name day"),
+        ("stats --top 3 --bottom 3", "location ranking needs --top, --middle, and --bottom"),
+        ("stats --top 3 --middle 4 --bottom 3 --year 2014", "--year does not apply to the location ranking"),
+        ("train --model nb --train-fraction 1.0 --eval-report r.json", "--eval-report needs --train-fraction < 1.0"),
+    ]])
+    def test_flag_errors_come_before_the_dataset_is_read(self, tmp_path, capsys, monkeypatch, flags, message):
+        monkeypatch.chdir(tmp_path)
+        assert main([*flags.split(), "--dataset", "missing.jsonl", "--output", "out"]) == 1
+        assert message in assert_one_line_error(capsys, "usage error: ")
+        assert not list(tmp_path.iterdir())
+
     def test_corrupt_dataset_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"nope": 1}\n', encoding="utf-8")
@@ -654,6 +669,25 @@ class TestImports:
         ]
         for argv in calls:
             assert not modules_after(argv) & {"dataclasses", "inspect"}, argv[0]
+
+    def test_stages_load_only_the_interchange_module_they_read(self, pipeline):
+        """The JSONL scanner lives in ``preprocess``: the analytic stages,
+        which read ``unified.jsonl``, load no ``ingestion``, and ``ingest``,
+        which only writes, loads no ``preprocess``."""
+        dataset = ["--dataset", str(pipeline / "unified.jsonl")]
+        out = str(pipeline / "out")
+        analytic = [
+            ["stats", *dataset, "--attribute", "day", "--output", out],
+            ["mine", *dataset, "--min-sup", "0.2", "--output", out],
+            ["train", *dataset, "--model", "dt", "--output", out],
+            ["evaluate", *dataset, "--model", "nb", "--folds", "2", "--output", out],
+        ]
+        for argv in analytic:
+            loaded = modules_after(argv)
+            assert "crimeminer.preprocess" in loaded and "crimeminer.ingestion" not in loaded, argv[0]
+        loaded = modules_after(["ingest", "--schema", "denver", "--input", str(pipeline / "denver.csv"),
+                                "--output", out])
+        assert "crimeminer.ingestion" in loaded and "crimeminer.preprocess" not in loaded
 
     def test_help_loads_no_stage_module(self):
         loaded = modules_after(["--help"])

@@ -145,6 +145,58 @@ class TestLosAngelesLoading:
         assert report.rejection_reasons == {"bad-date": 2}
 
 
+class TestMemoisedParsing:
+    """Each distinct value is parsed once per load; a failed parse is not
+    kept, so every row with a bad value is rejected alike."""
+
+    def test_repeated_bad_and_good_denver_stamps(self, tmp_path):
+        path = write_csv(
+            tmp_path,
+            DENVER_HEADER
+            + "1,larceny,2/30/14 10:00,Five Points,1\n"
+            + "2,Larceny,6/13/14 21:30,five  points,1\n"
+            + "3,larceny,2/30/14 10:00,cbd,1\n"
+            + "4,larceny,6/13/14 25:00,cbd,1\n"
+            + "5,LARCENY ,6/13/14 21:30,CBD,1\n"
+            + "6,larceny,6/13/14 25:00,baker,1\n"
+            + "7,larceny,2/30/14 10:00,baker,1\n",
+        )
+        records, report = load_crime_csv(path, Schema.DENVER)
+        assert report.to_json_dict() == {"rows_read": 7, "rows_accepted": 2, "rows_rejected": 5,
+                                         "rejection_reasons": {"bad-datetime": 5}}
+        assert records == [
+            RawCrimeRecord("larceny", dt.date(2014, 6, 13), dt.time(21, 30), "five-points", True, 2),
+            RawCrimeRecord("larceny", dt.date(2014, 6, 13), dt.time(21, 30), "cbd", True, 5),
+        ]
+
+    def test_repeated_bad_and_good_la_values(self, tmp_path):
+        path = write_csv(
+            tmp_path,
+            LA_HEADER
+            + "1,BURGLARY,8/23/14,2460,Pacific\n"
+            + "2,BURGLARY,8/23/14,2200,Pacific\n"
+            + "3,ROBBERY,8/23/14,2460,77th Street\n"
+            + "4,BURGLARY,8/32/14,2200,Pacific\n"
+            + "5,ROBBERY,8/23/14,2200,77th  Street\n"
+            + "6,BURGLARY,8/32/14,2200,Pacific\n"
+            + "7,BURGLARY,8/23/14,2460,Pacific\n",
+        )
+        records, report = load_crime_csv(path, Schema.LOS_ANGELES)
+        assert report.to_json_dict() == {"rows_read": 7, "rows_accepted": 2, "rows_rejected": 5,
+                                         "rejection_reasons": {"bad-date": 2, "bad-time": 3}}
+        assert [(r.source_row, r.offense_category, r.location_name, r.date, r.time) for r in records] == [
+            (2, "burglary", "pacific", dt.date(2014, 8, 23), dt.time(22, 0)),
+            (5, "robbery", "77th-street", dt.date(2014, 8, 23), dt.time(22, 0)),
+        ]
+
+    @pytest.mark.parametrize("stamp", ["1/1/99999999999 10:00", "1/1/14 99999999999:00",
+                                       "99999999999999999999/1/14 10:00"])
+    def test_number_too_large_for_a_date_is_rejected(self, tmp_path, stamp):
+        path = write_csv(tmp_path, DENVER_HEADER + f"1,larceny,{stamp},baker,1\n2,larceny,{stamp},cbd,1\n")
+        records, report = load_crime_csv(path, Schema.DENVER)
+        assert records == [] and report.rejection_reasons == {"bad-datetime": 2}
+
+
 class TestNormalization:
     def test_location_spellings_unify(self):
         assert normalize_location("Five Points") == "five-points"

@@ -1,0 +1,196 @@
+"""The JSON Lines writers and readers against plain ``json`` oracles.
+
+The writers must give the bytes of one ``json.dumps(..., sort_keys=True)``
+per record. The readers must give what one plain ``json.loads`` per line
+gives (``conftest.reference_read_*``): the same records, or the same error.
+"""
+
+import io
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from conftest import reference_read_raw_jsonl, reference_read_unified_jsonl
+from crimeminer.ingestion import RawCrimeRecord, raw_to_json_dict, read_raw_jsonl, write_raw_jsonl
+from crimeminer.preprocess import (
+    MONTH_NAMES,
+    WEEKDAY_NAMES,
+    CrimeCategory,
+    TimeBin,
+    UnifiedCrimeRecord,
+    read_unified_jsonl,
+    unified_to_json_dict,
+    write_unified_jsonl,
+)
+
+# --- writers ------------------------------------------------------------------
+
+# Free text with what JSON must escape: quotes, backslashes, control
+# characters, and non-ASCII text up to astral planes and lone surrogates.
+FREE_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\\x00\x08\x1f\x7f \xe9\u20ac\U0001F600\ud800')))
+
+raw_records = st.builds(RawCrimeRecord, FREE_TEXT, st.dates(), st.none() | st.times(), FREE_TEXT,
+                        st.sampled_from([True, False, None, 1]), st.integers())
+unified_records = st.builds(UnifiedCrimeRecord, st.sampled_from(CrimeCategory), st.sampled_from(MONTH_NAMES),
+                            st.sampled_from(WEEKDAY_NAMES), st.sampled_from(TimeBin), FREE_TEXT, st.integers(),
+                            st.integers(0, 23))
+
+
+def written(write, records) -> str:
+    buffer = io.StringIO()
+    write(records, buffer)
+    return buffer.getvalue()
+
+
+@given(st.lists(raw_records, max_size=8))
+def test_raw_writer_gives_the_json_dumps_bytes(records):
+    assert written(write_raw_jsonl, records) == "".join(
+        json.dumps(raw_to_json_dict(r), sort_keys=True) + "\n" for r in records)
+
+
+@given(st.lists(unified_records, max_size=8))
+def test_unified_writer_gives_the_json_dumps_bytes(records):
+    assert written(write_unified_jsonl, records) == "".join(
+        json.dumps(unified_to_json_dict(r), sort_keys=True) + "\n" for r in records)
+
+
+# --- readers ------------------------------------------------------------------
+
+RAW = {"category": "larceny", "date": "2014-06-13", "time": "21:30", "location": "five-points",
+       "is_crime": True, "source_row": 7}
+UNIFIED = {"type": "Theft", "type_id": 5, "month": "June", "day": "Friday", "time": "T6",
+           "location": "cbd", "year": 2014, "hour": 21}
+
+# Per key, values a record may hold: two good ones, then near misses. Small
+# pools, so that a file repeats values, as the readers' memos see in real files.
+RAW_VALUES = {
+    "category": ["larceny", "burglary", "", 5],
+    "date": ["2014-06-13", "2015-01-02", "2014-02-30", "6/13/14", 20140613, None],
+    "time": ["21:30", "00:05", "21:30:00", "7:5", "24:00", "", None, 2130],
+    "location": ["five-points", "cbd", 7],
+    "is_crime": [True, None, False, 1, "yes"],
+    "source_row": [7, 0, "8", 7.5, True],
+}
+UNIFIED_VALUES = {
+    "type": ["Theft", "Theft", "theft", "Assault", 5],
+    "type_id": [5, 5, 1, "5", 5.0, True, 9],
+    "month": ["June", "March", "june", "Juneteenth"],
+    "day": ["Friday", "Monday", "Fri"],
+    "time": ["T6", "T6", "T1", "t6", "T7"],
+    "location": ["cbd", "five-points", " cbd ", "   ", 7],
+    "year": [2014, -1, 2014.0, "2014"],
+    "hour": [21, 22, 0, 24, True, 20.5],
+}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def record_text(draw, base, pools):
+    obj = dict(base)
+    for key in draw(st.lists(st.sampled_from(sorted(base)), max_size=3, unique=True)):
+        if draw(st.integers(0, 5)) == 0:
+            del obj[key]
+        else:
+            obj[key] = draw(st.sampled_from(pools[key]) | json_values)
+    return json.dumps(obj, sort_keys=draw(st.booleans()))
+
+
+@st.composite
+def good_record_text(draw, base, pools):
+    """A record with each value drawn from the first two, good, in its pool."""
+    return json.dumps({key: draw(st.sampled_from(pools[key][:2])) for key in base}, sort_keys=True)
+
+
+BLANKISH = ["", " ", "\t", "\x0c", " \x0c ", "\x0b", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"]
+CORRUPTIONS = list(' \t\n\r\x0c{}[],:"\\0xN') + ["NaN", "\ufeff", '{"a": ', "}\n{"]
+
+
+@st.composite
+def jsonl_files(draw, base, pools):
+    """A JSON Lines text: half of them good records and blank lines, the
+    others also other values, and corrupted by a few inserted or deleted
+    characters."""
+    clean = draw(st.booleans())
+    line = good_record_text(base, pools) | st.sampled_from(BLANKISH)
+    if not clean:
+        line |= record_text(base, pools) | json_values.map(json.dumps)
+    lines = draw(st.lists(line, max_size=6))
+    text = "".join(line + draw(st.sampled_from(["\n", "\n", "\r\n", "\r", " \n"])) for line in lines)
+    for _ in range(0 if clean else draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:at] + draw(st.sampled_from(CORRUPTIONS)) + text[at:]
+        else:
+            text = text[:at] + text[at + draw(st.integers(1, 4)):]
+    return text
+
+
+def outcome(read, text: str, newline) -> str:
+    """What ``read`` makes of ``text``: the records' repr (which tells 1 from
+    True) or the error's type and text."""
+    try:
+        return repr(read(io.StringIO(text, newline=newline)))
+    except Exception as exc:  # noqa: BLE001 -- any error must be the oracle's error
+        return f"{type(exc).__name__}: {exc}"
+
+
+READERS = {
+    "raw": (read_raw_jsonl, reference_read_raw_jsonl, RAW, RAW_VALUES),
+    "unified": (read_unified_jsonl, reference_read_unified_jsonl, UNIFIED, UNIFIED_VALUES),
+}
+
+
+@pytest.mark.parametrize("kind", READERS)
+@pytest.mark.parametrize("newline", ["\n", None], ids=["untranslated", "universal"])
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_reader_matches_the_json_loads_reader(kind, newline, data):
+    read, reference, base, pools = READERS[kind]
+    text = data.draw(jsonl_files(base, pools))
+    assert outcome(read, text, newline) == outcome(reference, text, newline)
+
+
+def named_cases(base):
+    record = json.dumps(base, sort_keys=True)
+    return {
+        "value-split-across-lines": "[1\n2]\n",
+        "two-values-on-one-line": "1, 2\n",
+        "two-objects-on-one-line": f"{record} {record}\n",
+        # Two records on one line, then one split over two lines inside an
+        # extra key: as many objects as lines, each of them valid.
+        "joined-parse-counterexample": f'{record}, {record}\n{record[:-1]}, "x": [{{}}\n{{}}]}}\n',
+        "leading-whitespace": f" {record}\n",
+        "trailing-data": f"{record} x\n",
+        "utf8-bom": f"\ufeff{record}\n",
+        "nan": "NaN\n",
+        "nan-in-a-record": record.replace("7", "NaN").replace("2014", "NaN") + "\n",
+        "blank-lines": f"\n{record}\n\n   \n\t\n{record}\n",
+        "whitespace-only-lines": f"\x0c\n{record}\n \x0c \x0b\n\x1c\n",
+        "crlf": f"{record}\r\n{record}\r\n",
+        "no-final-newline": f"{record}\n{record}",
+        "trailing-tab": f"{record}\t\n",
+    }
+
+
+READS_RECORDS = {"leading-whitespace", "blank-lines", "whitespace-only-lines", "crlf", "no-final-newline",
+                 "trailing-tab"}
+
+
+@pytest.mark.parametrize("kind", READERS)
+@pytest.mark.parametrize("case", list(named_cases(RAW)))
+@pytest.mark.parametrize("newline", ["\n", None], ids=["untranslated", "universal"])
+def test_named_cases_match_the_json_loads_reader(kind, case, newline):
+    read, reference, base, _ = READERS[kind]
+    text = named_cases(base)[case]
+    got = outcome(read, text, newline)
+    assert got == outcome(reference, text, newline)
+    assert got.startswith("[") == (case in READS_RECORDS), got
+    if case == "joined-parse-counterexample":
+        assert "on line 1: Extra data" in got

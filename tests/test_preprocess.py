@@ -22,6 +22,7 @@ from crimeminer.preprocess import (
     CrimeCategory,
     TimeBin,
     TypeMapping,
+    UnifiedCrimeRecord,
     _canonical_record,
     bin_time,
     derive_temporal,
@@ -175,6 +176,24 @@ class TestPreprocessDataset:
             CrimeCategory.OTHER_CRIMES,
             CrimeCategory.THEFT,
         ]
+
+
+class TestMemoisedDerivation:
+    @given(st.lists(st.tuples(st.sampled_from(["larceny", "burglary", "jaywalking"]),
+                              st.sampled_from([dt.date(2014, 6, 13), dt.date(2015, 1, 1)]) | st.dates(),
+                              st.none() | st.times()), max_size=30))
+    def test_matches_the_per_record_derivation(self, rows):
+        records = [RawCrimeRecord(c, d, t, "cbd", True, i) for i, (c, d, t) in enumerate(rows)]
+        mapping = TypeMapping.from_dict({"larceny": "Theft", "burglary": "Assault"})
+        expected = []
+        for r in records:
+            if r.time is not None and r.offense_category != "jaywalking":
+                month, day, time_bin, year = derive_temporal(dt.datetime.combine(r.date, r.time))
+                expected.append(UnifiedCrimeRecord(map_crime_type(r.offense_category, mapping), month, day,
+                                                   time_bin, r.location_name, year, r.time.hour))
+        unified, report = preprocess_dataset(records, Schema.DENVER, mapping, max_reject_fraction=1.0)
+        assert repr(unified) == repr(expected)
+        assert (report.rows_in, report.rows_out) == (len(records), len(expected))
 
 
 class TestUnifiedJsonl:
