@@ -358,15 +358,15 @@ def _read_text(path, read):
             return read(fp)
         except UnicodeDecodeError as exc:
             raise ValueError(f"cannot read {path}: not UTF-8 text: {exc.reason}") from None
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{path}: {exc}") from None
 
 
 def _cmd_preprocess(args):
     from . import ingestion, preprocess
     records = _read_text(args.input, ingestion.read_raw_jsonl)
-    mapping = (preprocess.TypeMapping.from_json_file(args.mapping) if args.mapping
-               else preprocess.TypeMapping.for_schema(args.schema))
+    mapping = (_read_text(args.mapping, lambda fp: preprocess.TypeMapping.from_dict(json.load(fp)))
+               if args.mapping else preprocess.TypeMapping.for_schema(args.schema))
     unified, report = preprocess.preprocess_dataset(
         records, args.schema, mapping, max_reject_fraction=args.max_reject_fraction
     )
@@ -504,7 +504,8 @@ def _cmd_evaluate(args):
 def _cmd_demographics(args):
     from . import demographics, ingestion
     dataset = _read_dataset(args.dataset)
-    columns = ingestion.DemographicsColumns.from_json_file(args.columns) if args.columns else None
+    columns = (_read_text(args.columns, lambda fp: ingestion.DemographicsColumns.from_json_dict(json.load(fp)))
+               if args.columns else None)
     records, report = ingestion.load_demographics_csv(args.demographics, columns)
     if report.rows_rejected:
         reasons = ", ".join(f"{k}: {n}" for k, n in sorted(report.rejection_reasons.items()))

@@ -12,6 +12,7 @@ import datetime as dt
 import functools
 import json
 from importlib import resources
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 from .errors import (
@@ -259,16 +260,29 @@ def raw_to_json_dict(record: RawCrimeRecord) -> dict:
     }
 
 
+_new = tuple.__new__  # builds a record as RawCrimeRecord._make does, without a Python frame
+# Each key that ``raw_to_json_dict`` writes, with the types its value may have.
+_RAW_TYPES = {"category": (str,), "date": (str,), "time": (str, type(None)), "location": (str,),
+              "is_crime": (bool, type(None)), "source_row": (int,)}
+_raw_values = itemgetter(*_RAW_TYPES)
+
+
 def raw_from_json_dict(obj: Mapping, dates=dt.date.fromisoformat, clocks=_parse_clock) -> RawCrimeRecord:
-    time = obj.get("time")
-    return RawCrimeRecord(
-        str(obj["category"]),
-        dates(obj["date"]),
-        clocks(time) if time is not None else None,
-        str(obj["location"]),
-        obj.get("is_crime"),
-        int(obj.get("source_row", 0)),
-    )
+    """The record that ``raw_to_json_dict`` gave as ``obj``: a JSON object with exactly
+    the written keys, each value of a written type, its date and clock parsed by
+    ``dates`` and ``clocks``. Any other object raises ``ValueError`` naming the field."""
+    try:
+        category, date, time, location, is_crime, source_row = _raw_values(obj)
+    except KeyError as exc:
+        raise ValueError(f"missing key {exc}") from None
+    if len(obj) != len(_RAW_TYPES):
+        raise ValueError(f"unknown key {sorted(obj.keys() - _RAW_TYPES.keys())[0]!r}")
+    if not (type(category) is type(date) is type(location) is str and type(source_row) is int
+            and (time is None or type(time) is str) and (is_crime is None or type(is_crime) is bool)):
+        name = next(name for name, kinds in _RAW_TYPES.items() if type(obj[name]) not in kinds)
+        raise ValueError(f"{name} cannot be {obj[name]!r}")
+    time = None if time is None else clocks(time)
+    return _new(RawCrimeRecord, (category, dates(date), time, location, is_crime, source_row))
 
 
 # One line of ``json.dumps(raw_to_json_dict(record), sort_keys=True)``. Only
@@ -295,20 +309,10 @@ def write_raw_jsonl(records: Iterable[RawCrimeRecord], fp: TextIO) -> None:
 
 
 def read_raw_jsonl(fp: TextIO) -> list[RawCrimeRecord]:
-    from .preprocess import json_line  # imported here: the ingest stage loads no preprocess
-    # Each distinct date and clock text is parsed once; other values take the plain parsers.
+    from .preprocess import read_jsonl  # imported here: the ingest stage loads no preprocess
+    # Each distinct date and clock text is parsed once.
     dates, clocks = functools.cache(dt.date.fromisoformat), functools.cache(_parse_clock)
-    records = []
-    for line_number, line in enumerate(fp, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json_line(line)
-            memoised = type(obj.get("date")) is str and type(obj.get("time")) in (str, type(None))
-            records.append(raw_from_json_dict(obj, dates, clocks) if memoised else raw_from_json_dict(obj))
-        except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
-            raise ValueError(f"bad raw record on line {line_number}: {exc}") from exc
-    return records
+    return read_jsonl(fp, lambda obj: raw_from_json_dict(obj, dates, clocks), "raw")
 
 
 # --- demographics -----------------------------------------------------------
@@ -356,14 +360,6 @@ class DemographicsColumns(NamedTuple):
                 raise ValueError(f"column map extras label {label!r} collides with metric {label!r}")
             metrics[label] = column
         return cls(obj["neighborhood"], metrics)
-
-    @classmethod
-    def from_json_file(cls, path) -> "DemographicsColumns":
-        with open(path, encoding="utf-8") as fp:
-            try:
-                return cls.from_json_dict(json.load(fp))
-            except (ValueError, RecursionError) as exc:
-                raise ValueError(f"{path}: {exc}") from None
 
     @classmethod
     def default(cls) -> "DemographicsColumns":

@@ -11,12 +11,13 @@ import datetime as dt
 import functools
 import json
 from importlib import resources
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence, TextIO
+from operator import itemgetter
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 from .errors import RejectionThresholdError, UnmappedCategoryError
 from .vocab import (  # noqa: F401 -- also re-exported for existing importers
-    MONTH_NAMES, TIME_BIN_ORDER, WEEKDAY_NAMES, CrimeCategory, Schema, TimeBin,
-    UnifiedCrimeRecord, bin_time, normalize_category,
+    HOUR_BINS, MONTH_NAMES, MONTH_RANK, TIME_BIN_ORDER, WEEKDAY_NAMES, WEEKDAY_RANK, CrimeCategory, Schema,
+    TimeBin, UnifiedCrimeRecord, bin_time, normalize_category,
 )
 
 if TYPE_CHECKING:
@@ -25,9 +26,6 @@ if TYPE_CHECKING:
 
 def _calendar(date: dt.date) -> tuple[str, str, int]:
     return MONTH_NAMES[date.month - 1], WEEKDAY_NAMES[date.weekday()], date.year
-
-
-_HOUR_BINS = tuple(bin_time(hour) for hour in range(24))
 
 
 def derive_temporal(when: dt.datetime) -> tuple[str, str, TimeBin, int]:
@@ -57,14 +55,6 @@ class TypeMapping(NamedTuple):
             if not isinstance(v, str):
                 raise ValueError(f"type mapping entry {k!r} must name a crime type")
         return cls({normalize_category(k): CrimeCategory.from_label(v) for k, v in raw.items()})
-
-    @classmethod
-    def from_json_file(cls, path) -> "TypeMapping":
-        with open(path, encoding="utf-8") as fp:
-            try:
-                return cls.from_dict(json.load(fp))
-            except (ValueError, RecursionError) as exc:
-                raise ValueError(f"{path}: {exc}") from None
 
     @classmethod
     def for_schema(cls, schema: Schema) -> "TypeMapping":
@@ -125,7 +115,6 @@ def preprocess_dataset(
     out: list[UnifiedCrimeRecord] = []
     entries = mapping.entries
     calendar = functools.cache(_calendar)  # one derivation per distinct date
-    new = tuple.__new__  # builds the record as UnifiedCrimeRecord._make does, without a Python frame
     for raw_category, date, time, location, _, _ in records:
         if time is None:
             report.reject("missing-time")
@@ -138,7 +127,7 @@ def preprocess_dataset(
             continue
         month, day, year = calendar(date)
         hour = time.hour
-        out.append(new(UnifiedCrimeRecord, (category, month, day, _HOUR_BINS[hour], location, year, hour)))
+        out.append(_new(UnifiedCrimeRecord, (category, month, day, HOUR_BINS[hour], location, year, hour)))
     report.rows_out = len(out)
     report.rows_in = report.rows_out + report.rows_rejected
 
@@ -167,61 +156,45 @@ def unified_to_json_dict(record: UnifiedCrimeRecord) -> dict:
     }
 
 
+# Each key that ``unified_to_json_dict`` writes, with the type of its value.
+_UNIFIED_TYPES = {"type": str, "type_id": int, "month": str, "day": str, "time": str, "location": str,
+                  "year": int, "hour": int}
+_unified_values = itemgetter(*_UNIFIED_TYPES)
+# (type_id, hour) -> the type label and bin written with them, then the category and bin they read as.
+_TYPE_HOURS = {(int(category), hour): (category.label, time_bin.value, category, time_bin)
+               for category in CrimeCategory for hour, time_bin in enumerate(HOUR_BINS)}
+_new = tuple.__new__  # builds a record as UnifiedCrimeRecord._make does, without a Python frame
+
+
 def unified_from_json_dict(obj: Mapping) -> UnifiedCrimeRecord:
-    category = CrimeCategory(int(obj["type_id"]))
-    if "type" in obj and CrimeCategory.from_label(str(obj["type"])) is not category:
-        raise ValueError(f"type {obj['type']!r} does not match type_id {obj['type_id']}")
-    month = str(obj["month"])
-    if month not in MONTH_NAMES:
-        raise ValueError(f"bad month {month!r}")
-    day = str(obj["day"])
-    if day not in WEEKDAY_NAMES:
-        raise ValueError(f"bad day {day!r}")
-    time_bin = TimeBin(str(obj["time"]))
-    location = str(obj["location"]).strip()
-    if not location:
-        raise ValueError("empty location")
-    hour = int(obj["hour"])
-    if not 0 <= hour <= 23:
-        raise ValueError(f"bad hour {hour}")
-    return UnifiedCrimeRecord(
-        crime_type=category,
-        month=month,
-        day=day,
-        time=time_bin,
-        location=location,
-        year=int(obj["year"]),
-        hour=hour,
-    )
-
-
-# What ``_canonical_record`` accepts, looked up: canonical (type, type_id,
-# time) triples, hours and month and day names.
-_CANONICAL_TYPE_TIME = {
-    (category.label, int(category), time_bin.value): (category, time_bin)
-    for category in CrimeCategory for time_bin in TimeBin
-}
-_HOURS = {hour: hour for hour in range(24)}
-_MONTH_SET = frozenset(MONTH_NAMES)
-_DAY_SET = frozenset(WEEKDAY_NAMES)
-
-
-def _canonical_record(obj) -> UnifiedCrimeRecord | None:
-    """The record of an object with the canonical values that
-    ``unified_to_json_dict`` writes, checked by lookups; None for anything
-    else, which ``unified_from_json_dict`` then accepts or rejects. Whatever
-    this accepts, that accepts as an equal record."""
+    """The record that ``unified_to_json_dict`` gave as ``obj``: a JSON object with
+    exactly the written keys, each value of its written type and vocabulary. Any
+    other object raises ``ValueError`` naming the field."""
     try:
-        category, time_bin = _CANONICAL_TYPE_TIME[obj["type"], obj["type_id"], obj["time"]]
-        hour = _HOURS[obj["hour"]]
-        month, day, year = obj["month"], obj["day"], obj["year"]
-        location = obj["location"].strip()
-        canonical = month in _MONTH_SET and day in _DAY_SET and type(year) is int
-    except (KeyError, TypeError, AttributeError):  # a missing key, or a value of another type
-        return None
-    if not (canonical and location):
-        return None
-    return UnifiedCrimeRecord(category, month, day, time_bin, location, year, hour)
+        label, type_id, month, day, time, location, year, hour = _unified_values(obj)
+    except KeyError as exc:
+        raise ValueError(f"missing key {exc}") from None
+    if len(obj) != len(_UNIFIED_TYPES):
+        raise ValueError(f"unknown key {sorted(obj.keys() - _UNIFIED_TYPES.keys())[0]!r}")
+    if not (type(label) is type(month) is type(day) is type(time) is type(location) is str
+            and type(type_id) is type(year) is type(hour) is int):
+        name = next(name for name, kind in _UNIFIED_TYPES.items() if type(obj[name]) is not kind)
+        raise ValueError(f"{name} cannot be {obj[name]!r}")
+    try:
+        type_label, bin_value, category, time_bin = _TYPE_HOURS[type_id, hour]
+    except KeyError:
+        raise ValueError(f"bad type_id {type_id}" if 0 <= hour <= 23 else f"bad hour {hour}") from None
+    if label != type_label:
+        raise ValueError(f"type {label!r} does not match type_id {type_id}")
+    if time != bin_value:
+        raise ValueError(f"time {time!r} is not the bin of hour {hour}")
+    if month not in MONTH_RANK:
+        raise ValueError(f"bad month {month!r}")
+    if day not in WEEKDAY_RANK:
+        raise ValueError(f"bad day {day!r}")
+    if not location or location.strip() != location:
+        raise ValueError(f"bad location {location!r}")
+    return _new(UnifiedCrimeRecord, (category, month, day, time_bin, location, year, hour))
 
 
 # One line of ``json.dumps(unified_to_json_dict(record), sort_keys=True)``.
@@ -253,14 +226,19 @@ def json_line(line: str):
     return value if end == len(line) or line[end:] == "\n" else json.loads(line)
 
 
-def read_unified_jsonl(fp: TextIO) -> list[UnifiedCrimeRecord]:
+def read_jsonl(fp: TextIO, decode: Callable[[object], object], kind: str) -> list:
+    """``decode`` of the value on each non-blank line, in order; a line that
+    does not parse or decode raises ``ValueError`` naming it."""
     records = []
     for line_number, line in enumerate(fp, start=1):
         if not line.strip():
             continue
         try:
-            obj = json_line(line)
-            records.append(_canonical_record(obj) or unified_from_json_dict(obj))
-        except (KeyError, TypeError, ValueError, RecursionError) as exc:
-            raise ValueError(f"bad unified record on line {line_number}: {exc}") from exc
+            records.append(decode(json_line(line)))
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+            raise ValueError(f"bad {kind} record on line {line_number}: {exc}") from exc
     return records
+
+
+def read_unified_jsonl(fp: TextIO) -> list[UnifiedCrimeRecord]:
+    return read_jsonl(fp, unified_from_json_dict, "unified")

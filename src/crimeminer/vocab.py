@@ -70,28 +70,20 @@ class TimeBin(Enum):
 
     @property
     def hours(self) -> tuple[int, ...]:
-        return _BIN_HOURS[self]
+        """The bin's hours in clock order from 1 (T6 is 21, 22, 23, 0)."""
+        return tuple(hour for hour in (*range(1, 24), 0) if HOUR_BINS[hour] is self)
 
-
-_BIN_HOURS = {
-    TimeBin.T1: (1, 2, 3, 4),
-    TimeBin.T2: (5, 6, 7, 8),
-    TimeBin.T3: (9, 10, 11, 12),
-    TimeBin.T4: (13, 14, 15, 16),
-    TimeBin.T5: (17, 18, 19, 20),
-    TimeBin.T6: (21, 22, 23, 0),
-}
 
 TIME_BIN_ORDER = tuple(TimeBin)
+# The bin of each hour 0..23: four hours a bin from 01:00, T6 wrapping midnight.
+HOUR_BINS = tuple(TIME_BIN_ORDER[(hour - 1) // 4] if 0 < hour < 21 else TimeBin.T6 for hour in range(24))
 
 
 def bin_time(hour: int) -> TimeBin:
     """Map an hour of day (0-23) to its four-hour bin; hour 0 belongs to T6."""
     if not isinstance(hour, int) or not 0 <= hour <= 23:
         raise OutOfRangeError(f"hour must be an integer in 0..23, got {hour!r}")
-    if hour == 0 or hour >= 21:
-        return TimeBin.T6
-    return TIME_BIN_ORDER[(hour - 1) // 4]
+    return HOUR_BINS[hour]
 
 
 class CrimeCategory(IntEnum):

@@ -18,7 +18,6 @@ from crimeminer.preprocess import (
     WEEKDAY_NAMES,
     CrimeCategory,
     UnifiedCrimeRecord,
-    _canonical_record,
     bin_time,
     read_unified_jsonl,
     unified_from_json_dict,
@@ -149,28 +148,24 @@ def brute_force_best_split(records):
     return [entry for entry in listed if entry[0] >= top - 1e-12] if top > 0.0 else []
 
 
-def reference_read_unified_jsonl(fp) -> list[UnifiedCrimeRecord]:
-    """``read_unified_jsonl`` with one plain ``json.loads`` per line."""
+def _reference_read_jsonl(fp, decode, kind):
+    """The JSON Lines loop with one plain ``json.loads`` per line."""
     records = []
     for line_number, line in enumerate(fp, start=1):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
-            records.append(_canonical_record(obj) or unified_from_json_dict(obj))
-        except (KeyError, TypeError, ValueError, RecursionError) as exc:
-            raise ValueError(f"bad unified record on line {line_number}: {exc}") from exc
+            records.append(decode(json.loads(line)))
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+            raise ValueError(f"bad {kind} record on line {line_number}: {exc}") from exc
     return records
+
+
+def reference_read_unified_jsonl(fp) -> list[UnifiedCrimeRecord]:
+    """``read_unified_jsonl`` with one plain ``json.loads`` per line."""
+    return _reference_read_jsonl(fp, unified_from_json_dict, "unified")
 
 
 def reference_read_raw_jsonl(fp):
     """``read_raw_jsonl`` with one plain ``json.loads`` per line and no memo."""
-    records = []
-    for line_number, line in enumerate(fp, start=1):
-        if not line.strip():
-            continue
-        try:
-            records.append(raw_from_json_dict(json.loads(line)))
-        except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
-            raise ValueError(f"bad raw record on line {line_number}: {exc}") from exc
-    return records
+    return _reference_read_jsonl(fp, raw_from_json_dict, "raw")

@@ -32,6 +32,12 @@ INGEST_ARGV = ["ingest", "--schema", "denver", "--input", "side.json"]
 COLUMNS_ARGV = ["demographics", "--dataset", "unified.jsonl", "--demographics", "demo.csv",
                 "--columns", "side.json"]
 MAPPING_ARGV = ["preprocess", "--schema", "denver", "--input", "raw.jsonl", "--mapping", "side.json"]
+RAW_ARGV = ["preprocess", "--schema", "denver", "--input", "side.json"]
+DATASET_ARGV = ["stats", "--attribute", "day", "--dataset", "side.json"]
+RAW_LINE = {"category": "larceny", "date": "2014-06-13", "time": "21:30", "location": "cbd",
+            "is_crime": True, "source_row": 1}
+UNIFIED_LINE = {"type": "Theft", "type_id": 5, "month": "June", "day": "Friday", "time": "T6",
+                "location": "cbd", "year": 2014, "hour": 21}
 
 DENVER_CSV = (
     "INCIDENT_ID,OFFENSE_CATEGORY_ID,FIRST_OCCURRENCE_DATE,NEIGHBORHOOD_ID,IS_CRIME\n"
@@ -420,6 +426,22 @@ class TestExitCodes:
                      id="raw-not-object"),
         pytest.param(["predict", "--model", "side.json", "--month", "June", "--day", "Friday",
                       "--time", "T6", "--location", "cbd"], b"\xff", "side.json", id="model-not-utf8"),
+        pytest.param(MAPPING_ARGV, b'{"larceny": "Th\xe9ft"}', "side.json", id="mapping-not-utf8"),
+        pytest.param(COLUMNS_ARGV, b'{"neighborhood": "\xff"}', "side.json", id="columns-not-utf8"),
+        # A float infinity or an hour past the C int range, where the readers once let OverflowError out.
+        pytest.param(RAW_ARGV, json.dumps({**RAW_LINE, "source_row": float("inf")}),
+                     "side.json: bad raw record on line 1", id="raw-source-row-infinity"),
+        pytest.param(RAW_ARGV, json.dumps({**RAW_LINE, "time": "99999999999999999999:00"}),
+                     "side.json: bad raw record on line 1", id="raw-clock-overflow"),
+        pytest.param(DATASET_ARGV, json.dumps(UNIFIED_LINE).replace("2014", "1e400"),
+                     "side.json: bad unified record on line 1", id="unified-year-1e400"),
+        # Values no writer writes, which the readers once coerced into a record.
+        pytest.param(DATASET_ARGV, json.dumps({**UNIFIED_LINE, "time": "T1"}),
+                     "side.json: bad unified record on line 1: time 'T1'", id="unified-time-not-the-hours"),
+        pytest.param(DATASET_ARGV, json.dumps({**UNIFIED_LINE, "year": "2014"}),
+                     "side.json: bad unified record on line 1: year", id="unified-year-text"),
+        pytest.param(RAW_ARGV, json.dumps({**RAW_LINE, "is_crime": 1}),
+                     "side.json: bad raw record on line 1: is_crime", id="raw-flag-number"),
     ])
     def test_malformed_side_file_names_it(self, pipeline, capsys, monkeypatch, argv, content, named):
         monkeypatch.chdir(pipeline)
