@@ -3,20 +3,28 @@
 The miner is generic over hashable, mutually ordered items: candidates of
 size k are joined from frequent (k-1)-itemsets sharing a (k-2)-prefix in the
 items' natural order, pruned by the anti-monotone support property, and
-counted in one pass per level through a hash lookup. An itemset is frequent
+counted in one pass per level through a hash lookup (Agrawal & Srikant,
+VLDB 1994). Level 2 takes every pair of frequent items, where the prune
+cannot fail; from level 3 the prune looks up only the subsets that drop a
+prefix item, as the other two are the joined sets. An itemset is frequent
 when ``count / n_transactions >= min_sup`` (inclusive).
 
-Hotspot mining builds one transaction per crime record with three tagged
-items -- (location, L), (day, D), (time, T) -- and reports the frequent
+Hotspot mining gives each crime record the transaction of its three tagged
+items -- (location, L), (day, D), (time, T) -- built once per distinct
+triple and shared by the records that have it, and reports the frequent
 size-3 itemsets, each of which is one record's whole transaction.
+
+``concurrent.futures`` is imported only when counting uses threads; the
+module attribute ``ThreadPoolExecutor`` looks it up then.
 """
 
 from __future__ import annotations
 
 import csv
+import sys
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations, groupby
+from operator import itemgetter
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 from .errors import EmptyTransactionListError
@@ -75,17 +83,33 @@ def support(itemset: Iterable[Item], transactions: Sequence[frozenset]) -> tuple
     return count / len(transactions), count
 
 
+def __getattr__(name: str):
+    if name == "ThreadPoolExecutor":  # imported on first use: it loads ``logging``
+        from concurrent.futures import ThreadPoolExecutor
+        return ThreadPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _generate_candidates(frequent: Iterable[frozenset]) -> list[frozenset]:
-    """Join frequent (k-1)-itemsets on a shared (k-2)-prefix, then prune."""
-    previous = {frozenset(s) for s in frequent}
-    as_tuples = sorted(tuple(sorted(s)) for s in previous)
+    """Join frequent (k-1)-itemsets on a shared (k-2)-prefix, then prune.
+
+    A candidate ``prefix + (a, b)`` joins ``prefix + (a,)`` and
+    ``prefix + (b,)``, both frequent, so the prune checks only the subsets
+    that drop one prefix item: ``b`` must follow ``drop + (a,)`` in a
+    frequent set for each such ``drop``. Level 2 has no prefix to drop.
+    """
+    as_tuples = sorted({tuple(sorted(s)) for s in frequent})
+    followers = {prefix: [t[-1] for t in group] for prefix, group in groupby(as_tuples, key=lambda t: t[:-1])}
+    follower_sets = {prefix: set(items) for prefix, items in followers.items()}
     candidates: list[frozenset] = []
-    for _, group in groupby(as_tuples, key=lambda t: t[:-1]):
-        members = list(group)
-        for a, b in combinations(members, 2):
-            candidate = frozenset(a + (b[-1],))
-            if all(candidate - {item} in previous for item in candidate):
-                candidates.append(candidate)
+    for prefix, items in followers.items():
+        drops = [prefix[:i] + prefix[i + 1:] for i in range(len(prefix))]
+        for i, a in enumerate(items):
+            later = items[i + 1:]
+            for drop in drops:
+                allowed = follower_sets.get(drop + (a,), ())
+                later = [b for b in later if b in allowed]
+            candidates += (frozenset(prefix + (a, b)) for b in later)
     return candidates
 
 
@@ -116,7 +140,7 @@ def _count_candidates(
     size = (len(weighted) + threads - 1) // threads
     chunks = [weighted[i : i + size] for i in range(0, len(weighted), size)]
     totals = dict.fromkeys(candidates, 0)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with sys.modules[__name__].ThreadPoolExecutor(max_workers=threads) as pool:
         for partial in pool.map(lambda c: _count_chunk(candidates, c, k), chunks):
             for itemset, count in partial.items():
                 totals[itemset] += count
@@ -142,7 +166,7 @@ def mine_frequent(
         raise ValueError(f"min_sup must be in (0, 1], got {min_sup}")
     n = len(transactions)
 
-    weighted = list(Counter(frozenset(t) for t in transactions).items())
+    weighted = list(Counter(map(frozenset, transactions)).items())
 
     item_counts: Counter = Counter()
     for transaction, multiplicity in weighted:
@@ -183,6 +207,9 @@ def record_transaction(record: UnifiedCrimeRecord) -> frozenset:
     )
 
 
+_TRIPLE = itemgetter(4, 2, 3)  # a record's (location, day, time)
+
+
 def mine_hotspot_patterns(
     dataset: Sequence[UnifiedCrimeRecord],
     min_sup: float,
@@ -194,9 +221,12 @@ def mine_hotspot_patterns(
     Levels 1 and 2 are still computed for pruning. Every frequent size-3
     itemset is contained in, so equal to, some record's transaction, and
     holds one item per tag; these become the patterns, sorted by location,
-    weekday order, then time-bin order.
+    weekday order, then time-bin order. Records with the same triple share
+    one transaction, built once.
     """
-    transactions = [record_transaction(r) for r in dataset]
+    triples = list(map(_TRIPLE, dataset))
+    shared = {triple: record_transaction(r) for triple, r in dict(zip(triples, dataset)).items()}
+    transactions = list(map(shared.__getitem__, triples))
     run = mine_frequent(transactions, min_sup, max_size=3, threads=threads)
     patterns: list[FrequentPattern] = []
     for itemset, stat in run.itemsets.get(3, {}).items():

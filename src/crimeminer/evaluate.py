@@ -1,12 +1,16 @@
-"""Confusion matrices, precision/recall/F1 reports, and k-fold cross-validation."""
+"""Confusion matrices, precision/recall/F1 reports, and k-fold cross-validation.
+
+``concurrent.futures`` is imported only when the folds run on threads; the
+module attribute ``ThreadPoolExecutor`` looks it up then.
+"""
 
 from __future__ import annotations
 
 import csv
 import json
 import random
+import sys
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from typing import Mapping, NamedTuple, Sequence, TextIO
 
 from .classify import (
@@ -24,6 +28,13 @@ from .vocab import CrimeCategory, UnifiedCrimeRecord
 
 # Records to score or train on: a ``Dataset`` or a list, encoded once on entry.
 Data = Dataset | Sequence[UnifiedCrimeRecord]
+
+
+def __getattr__(name: str):
+    if name == "ThreadPoolExecutor":  # imported on first use: it loads ``logging``
+        from concurrent.futures import ThreadPoolExecutor
+        return ThreadPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ConfusionMatrix(NamedTuple):
@@ -241,7 +252,7 @@ def cross_validate(
         return _fit_predict(train, data.subset(fold), model_kind, alpha, max_leaves)
 
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with sys.modules[__name__].ThreadPoolExecutor(max_workers=threads) as pool:
             matrices = list(pool.map(run_fold, folds))
     else:
         matrices = [run_fold(fold) for fold in folds]

@@ -11,6 +11,7 @@ import csv
 import datetime as dt
 import functools
 import json
+import re
 from importlib import resources
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
@@ -260,6 +261,31 @@ def raw_to_json_dict(record: RawCrimeRecord) -> dict:
     }
 
 
+_WRITTEN_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_WRITTEN_CLOCK = re.compile(r"([0-9]{2}):([0-9]{2})")
+
+
+def _written_date(text: str) -> dt.date:
+    """A date as ``raw_to_json_dict`` writes it: exactly ``YYYY-MM-DD``."""
+    if _WRITTEN_DATE.fullmatch(text):
+        try:
+            return dt.date.fromisoformat(text)
+        except ValueError:  # out of range
+            pass
+    raise ValueError(f"date cannot be {text!r}")
+
+
+def _written_clock(text: str) -> dt.time:
+    """A clock time as ``raw_to_json_dict`` writes it: exactly ``HH:MM``."""
+    match = _WRITTEN_CLOCK.fullmatch(text)
+    if match:
+        try:
+            return dt.time(int(match[1]), int(match[2]))
+        except ValueError:  # out of range
+            pass
+    raise ValueError(f"time cannot be {text!r}")
+
+
 _new = tuple.__new__  # builds a record as RawCrimeRecord._make does, without a Python frame
 # Each key that ``raw_to_json_dict`` writes, with the types its value may have.
 _RAW_TYPES = {"category": (str,), "date": (str,), "time": (str, type(None)), "location": (str,),
@@ -267,7 +293,7 @@ _RAW_TYPES = {"category": (str,), "date": (str,), "time": (str, type(None)), "lo
 _raw_values = itemgetter(*_RAW_TYPES)
 
 
-def raw_from_json_dict(obj: Mapping, dates=dt.date.fromisoformat, clocks=_parse_clock) -> RawCrimeRecord:
+def raw_from_json_dict(obj: Mapping, dates=_written_date, clocks=_written_clock) -> RawCrimeRecord:
     """The record that ``raw_to_json_dict`` gave as ``obj``: a JSON object with exactly
     the written keys, each value of a written type, its date and clock parsed by
     ``dates`` and ``clocks``. Any other object raises ``ValueError`` naming the field."""
@@ -311,7 +337,7 @@ def write_raw_jsonl(records: Iterable[RawCrimeRecord], fp: TextIO) -> None:
 def read_raw_jsonl(fp: TextIO) -> list[RawCrimeRecord]:
     from .preprocess import read_jsonl  # imported here: the ingest stage loads no preprocess
     # Each distinct date and clock text is parsed once.
-    dates, clocks = functools.cache(dt.date.fromisoformat), functools.cache(_parse_clock)
+    dates, clocks = functools.cache(_written_date), functools.cache(_written_clock)
     return read_jsonl(fp, lambda obj: raw_from_json_dict(obj, dates, clocks), "raw")
 
 

@@ -7,10 +7,11 @@ The raw clock hour is kept alongside for hour-resolution statistics.
 
 from __future__ import annotations
 
-import datetime as dt
 import functools
 import json
+import re
 from importlib import resources
+from itertools import repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO
 
@@ -21,6 +22,8 @@ from .vocab import (  # noqa: F401 -- also re-exported for existing importers
 )
 
 if TYPE_CHECKING:
+    import datetime as dt
+
     from .ingestion import RawCrimeRecord
 
 
@@ -226,11 +229,13 @@ def json_line(line: str):
     return value if end == len(line) or line[end:] == "\n" else json.loads(line)
 
 
-def read_jsonl(fp: TextIO, decode: Callable[[object], object], kind: str) -> list:
+def read_jsonl(lines: Iterable[str], decode: Callable[[object], object], kind: str,
+               first_line: int = 1) -> list:
     """``decode`` of the value on each non-blank line, in order; a line that
-    does not parse or decode raises ``ValueError`` naming it."""
+    does not parse or decode raises ``ValueError`` naming it, counting the
+    first of ``lines`` as line ``first_line``."""
     records = []
-    for line_number, line in enumerate(fp, start=1):
+    for line_number, line in enumerate(lines, start=first_line):
         if not line.strip():
             continue
         try:
@@ -240,5 +245,81 @@ def read_jsonl(fp: TextIO, decode: Callable[[object], object], kind: str) -> lis
     return records
 
 
+# ``_UNIFIED_LINE`` with a group for each value, the adjacent time, type and
+# type_id in one. A string's group takes no quote, backslash or control
+# character, so it is the string's own text; the year is a JSON integer of at
+# most ten digits, which ``int`` takes; no group can match a line break, so a
+# match is one whole line.
+_TEMPLATE = re.compile(
+    r'^\{"day": "([A-Za-z]+)", "hour": ([0-9]+), "location": "([^"\\\x00-\x1f]+)", '
+    r'"month": "([A-Za-z]+)", "time": "(T[0-9]", "type": "[A-Za-z ]+", "type_id": [0-9]+), '
+    r'"year": (-?(?:0|[1-9][0-9]{0,9}))\}$', re.M)
+_DAYS = {name: name for name in WEEKDAY_NAMES}
+_MONTHS = {name: name for name in MONTH_NAMES}
+# The written text of (time, type, type_id) and hour -> the category, bin and hour they read as.
+_TYPE_HOUR_TEXTS = {
+    (f'{bin_value}", "type": "{label}", "type_id": {type_id}', str(hour)): (category, time_bin, hour)
+    for (type_id, hour), (label, bin_value, category, time_bin) in _TYPE_HOURS.items()}
+_BLOCK_CHARS = 1 << 16  # lines read and matched at a time
+
+
+def _template_records(block: str, n_lines: int, years: dict, locations: dict) -> list | None:
+    """The records of ``block``'s ``n_lines`` lines when each is a whole
+    template match with known values, else None. ``years`` and ``locations``
+    hold each year and location text already checked, with its value."""
+    rows = _TEMPLATE.findall(block)
+    if len(rows) != n_lines:
+        return None
+    days, hours, places, months, types, year_texts = zip(*rows)
+    for text in set(year_texts).difference(years):
+        years[text] = int(text)
+    for text in set(places).difference(locations):
+        if text.strip() != text:
+            return None
+        locations[text] = text
+    try:
+        categories, bins, hours = zip(*map(_TYPE_HOUR_TEXTS.__getitem__, zip(types, hours)))
+        return list(map(_new, repeat(UnifiedCrimeRecord), zip(
+            categories, map(_MONTHS.__getitem__, months), map(_DAYS.__getitem__, days), bins,
+            map(locations.__getitem__, places), map(years.__getitem__, year_texts), hours)))
+    except KeyError:
+        return None
+
+
 def read_unified_jsonl(fp: TextIO) -> list[UnifiedCrimeRecord]:
-    return read_jsonl(fp, unified_from_json_dict, "unified")
+    """The records of a unified JSON Lines file: what ``read_jsonl`` with
+    ``unified_from_json_dict`` gives, the same records or the same error.
+
+    The lines are read in blocks of about ``_BLOCK_CHARS`` characters. A
+    block whose every line is a line that ``write_unified_jsonl`` writes is
+    matched against its template in one pass; any other block (a blank line,
+    an escaped location, a CRLF ending, anything malformed) goes through
+    ``read_jsonl`` with its true line numbers.
+
+    Why the counts suffice: ``_TEMPLATE`` matches only from the start of a
+    line (``^``) to its end (``$``), and neither its text nor any group can
+    match a line break, so each match is one whole line and no line holds
+    two. A block of m lines with m line breaks (the last may lack its own)
+    and m matches is therefore m template lines, none holding a carriage
+    return, so the file split it at exactly those breaks. Each template line
+    holds the eight written keys once, in sorted order, each value of its
+    written type; the lookups then accept only written vocabulary, a
+    (type, type_id, time, hour) the writer pairs, a year in JSON integer
+    form and a non-empty, unpadded location, which are the checks of
+    ``unified_from_json_dict``.
+    """
+    records: list[UnifiedCrimeRecord] = []
+    years: dict[str, int] = {}
+    locations: dict[str, str] = {}  # one string object per distinct location
+    first_line = 1
+    while lines := fp.readlines(_BLOCK_CHARS):
+        block = "".join(lines)
+        n_lines = len(lines)
+        taken = None
+        if block.count("\n") + (block[-1] != "\n") == n_lines:
+            taken = _template_records(block, n_lines, years, locations)
+        if taken is None:
+            taken = read_jsonl(lines, unified_from_json_dict, "unified", first_line)
+        records += taken
+        first_line += n_lines
+    return records

@@ -68,6 +68,10 @@ class TimeBin(Enum):
     T5 = "T5"
     T6 = "T6"
 
+    # Members are singletons and compare by identity, so the C-level identity
+    # hash is consistent with equality, and cheaper than ``Enum.__hash__``.
+    __hash__ = object.__hash__
+
     @property
     def hours(self) -> tuple[int, ...]:
         """The bin's hours in clock order from 1 (T6 is 21, 22, 23, 0)."""

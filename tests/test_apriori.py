@@ -3,14 +3,17 @@
 import io
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import datasets, exhaustive_frequent, make_record
+from crimeminer import apriori
 from crimeminer.apriori import (
     FrequentPattern,
+    _generate_candidates,
     mine_frequent,
     mine_hotspot_patterns,
     record_transaction,
@@ -113,6 +116,32 @@ class TestOracleEquivalence:
             assert single.itemsets == multi.itemsets
 
 
+def brute_force_candidates(family, size):
+    """Every (size+1)-set whose size-subsets are all in ``family``."""
+    universe = sorted({item for itemset in family for item in itemset})
+    return {frozenset(c) for c in combinations(universe, size + 1)
+            if all(frozenset(s) in family for s in combinations(c, size))}
+
+
+same_size_families = st.integers(1, 4).flatmap(lambda size: st.tuples(
+    st.just(size), st.sets(st.frozensets(st.integers(0, 7), min_size=size, max_size=size), max_size=30)))
+
+
+class TestJoin:
+    @given(same_size_families)
+    def test_candidates_equal_the_brute_force_oracle(self, sized_family):
+        size, family = sized_family
+        candidates = _generate_candidates(family)
+        assert len(candidates) == len(set(candidates))
+        assert set(candidates) == brute_force_candidates(family, size)
+
+    def test_prune_drops_a_join_missing_a_prefix_subset(self):
+        # {1,2,3} and {1,2,4} join to {1,2,3,4}, but {2,3,4} is not frequent.
+        family = {frozenset(s) for s in ({1, 2, 3}, {1, 2, 4}, {1, 3, 4})}
+        assert _generate_candidates(family) == []
+        assert _generate_candidates(family | {frozenset({2, 3, 4})}) == [frozenset({1, 2, 3, 4})]
+
+
 def assert_mining_invariants(run):
     """Anti-monotonicity: every subset of a frequent itemset is frequent."""
     frequent = run.frequent_sets()
@@ -206,6 +235,26 @@ class TestHotspotMining:
         assert run.patterns == expected
         transactions = [record_transaction(r) for r in dataset]
         assert run.frequent_sets() == set(exhaustive_frequent(transactions, min_sup, max_size=3))
+
+    @given(datasets, st.sampled_from([0.01, 0.1]))
+    def test_one_transaction_per_distinct_triple(self, dataset, min_sup):
+        built = []
+
+        def recording(record):
+            built.append(record)
+            return record_transaction(record)
+
+        original = apriori.record_transaction
+        apriori.record_transaction = recording
+        try:
+            run = mine_hotspot_patterns(dataset, min_sup)
+        finally:
+            apriori.record_transaction = original
+        triples = [(r.location, r.day, r.time) for r in built]
+        assert len(triples) == len(set(triples))
+        assert set(triples) == {(r.location, r.day, r.time) for r in dataset}
+        assert run == mine_frequent([record_transaction(r) for r in dataset], min_sup, max_size=3)._replace(
+            patterns=run.patterns)
 
     def test_absolute_count_thresholds_round_as_expected(self):
         # the documented operating points: fractions are authoritative

@@ -442,6 +442,12 @@ class TestExitCodes:
                      "side.json: bad unified record on line 1: year", id="unified-year-text"),
         pytest.param(RAW_ARGV, json.dumps({**RAW_LINE, "is_crime": 1}),
                      "side.json: bad raw record on line 1: is_crime", id="raw-flag-number"),
+        # Dates and clock times in a form other than the written YYYY-MM-DD and HH:MM.
+        *[pytest.param(RAW_ARGV, json.dumps(RAW_LINE) + "\n" + json.dumps({**RAW_LINE, field: value}),
+                       f"side.json: bad raw record on line 2: {field} cannot be {value!r}",
+                       id=f"raw-{field}-{value.strip()}")
+          for field, value in [("date", "20140613"), ("date", "2014-W24-5"), ("time", "7:5"),
+                               ("time", "21:30:59"), ("time", " 21 : 30 ")]],
     ])
     def test_malformed_side_file_names_it(self, pipeline, capsys, monkeypatch, argv, content, named):
         monkeypatch.chdir(pipeline)
@@ -710,6 +716,28 @@ class TestImports:
         loaded = modules_after(["ingest", "--schema", "denver", "--input", str(pipeline / "denver.csv"),
                                 "--output", out])
         assert "crimeminer.ingestion" in loaded and "crimeminer.preprocess" not in loaded
+
+    def test_thread_pool_loads_only_when_a_call_runs_on_threads(self, pipeline):
+        """``concurrent.futures`` (which loads ``logging``) is imported by the
+        ``--threads`` > 1 paths alone, and they write the serial bytes."""
+        dataset = ["--dataset", str(pipeline / "unified.jsonl")]
+        calls = {
+            "mine": [*dataset, "--min-sup", "0.1"],
+            "evaluate": [*dataset, "--model", "nb", "--folds", "2", "--csv", "{out}.csv"],
+        }
+        for name, flags in calls.items():
+            written = {}
+            for threads in ("1", "2"):
+                out = str(pipeline / f"{name}-{threads}")
+                argv = [name, *(flag.format(out=out) for flag in flags), "--threads", threads,
+                        "--output", out]
+                assert ("concurrent.futures" in modules_after(argv)) == (threads != "1"), argv
+                written[threads] = sorted((p.name.replace(f"-{threads}", ""), p.read_bytes())
+                                          for p in pipeline.glob(f"{name}-{threads}*"))
+            assert written["1"] == written["2"] and written["1"], name
+        train = ["train", *dataset, "--model", "dt", "--output", str(pipeline / "model.json"),
+                 "--eval-report", str(pipeline / "holdout.json")]
+        assert "concurrent.futures" not in modules_after(train)
 
     def test_help_loads_no_stage_module(self):
         loaded = modules_after(["--help"])

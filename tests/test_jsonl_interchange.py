@@ -7,6 +7,7 @@ gives (``conftest.reference_read_*``): the same records, or the same error.
 
 import io
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,12 +21,14 @@ from crimeminer.ingestion import (
     read_raw_jsonl,
     write_raw_jsonl,
 )
+from crimeminer import preprocess
 from crimeminer.preprocess import (
     MONTH_NAMES,
     WEEKDAY_NAMES,
     CrimeCategory,
     TimeBin,
     UnifiedCrimeRecord,
+    read_jsonl,
     read_unified_jsonl,
     unified_from_json_dict,
     unified_to_json_dict,
@@ -247,6 +250,11 @@ NEAR_MISSES = [
     ("raw", {"time": MISSING}, "time"),
     ("raw", {"is_crime": MISSING}, "is_crime"),
     ("raw", {"source_row": MISSING}, "source_row"),
+    ("raw", {"date": "20140613"}, "date"),
+    ("raw", {"date": "2014-W24-5"}, "date"),
+    ("raw", {"time": "7:5"}, "time"),
+    ("raw", {"time": "21:30:59"}, "time"),
+    ("raw", {"time": " 21 : 30 "}, "time"),
 ]
 
 
@@ -259,3 +267,93 @@ def test_decoder_rejects_what_no_writer_writes_naming_the_field(kind, changes, f
     obj = {key: value for key, value in {**READERS[kind][2], **changes}.items() if value is not MISSING}
     with pytest.raises(ValueError, match=rf"\b{field}\b"):
         DECODERS[kind](obj)
+
+
+# --- the unified reader's template path against its line-by-line path -----------
+
+def read_unified_line_by_line(fp):
+    return read_jsonl(fp, unified_from_json_dict, "unified")
+
+
+# Lines that are near a written line: each unified near miss, values in a
+# form the template must not take (leading zeros, "-0", escapes, raw
+# non-ASCII), and the joined-parse counterexample's two lines.
+NEAR_LINES = [json.dumps({key: value for key, value in {**UNIFIED, **changes}.items() if value is not MISSING},
+                         sort_keys=True)
+              for kind, changes, _ in NEAR_MISSES if kind == "unified"]
+NEAR_LINES += [json.dumps(UNIFIED, sort_keys=True).replace(old, new) for old, new in [
+    ('"hour": 21', '"hour": 021'), ('"year": 2014', '"year": 02014'), ('"year": 2014', '"year": -0'),
+    ('"year": 2014', '"year": -2014'), ('"year": 2014', '"year": ' + "9" * 5000),
+    ('"type_id": 5', '"type_id": 05'), ('"cbd"', '"\\u0063bd"'), ('"cbd"', '"café"'),
+    ('"cbd"', '"cbd "'), ('"cbd"', '" cbd"'), ('"cbd"', '"c\\"bd"'), ('"cbd"', '"c\x7fbd"'),
+    ('"Friday"', '"Fri\\u0064ay"'), ('"T6"', '"T9"'), ('", "', '","'), ("}", "} "),
+]]
+NEAR_LINES += named_cases(UNIFIED)["joined-parse-counterexample"].splitlines()
+
+
+@st.composite
+def unified_files(draw):
+    """Written lines of generated records (escaped and non-ASCII locations
+    among them), with blank and near-miss lines put in, each line ended by
+    LF, CRLF or CR, the last sometimes by nothing."""
+    lines = [written(write_unified_jsonl, [record]).rstrip("\n")
+             for record in draw(st.lists(unified_records, max_size=12))]
+    for _ in range(draw(st.integers(0, 3))):
+        extra = draw(st.sampled_from(BLANKISH) | st.sampled_from(NEAR_LINES))
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    endings = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"])
+    text = "".join(line + draw(endings) for line in lines)
+    return text[:-1] if text.endswith("\n") and draw(st.booleans()) else text
+
+
+# (``io.StringIO`` with ``newline="\r"`` writes each LF as CR; a real file
+# read that way is the test after these.)
+@pytest.mark.parametrize("newline", ["\n", None, ""], ids=["lf", "universal", "untranslated"])
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+@given(text=unified_files(), block_chars=st.integers(1, 800))
+def test_template_read_matches_the_line_by_line_read(newline, text, block_chars):
+    """Same records or same error naming the same line, with blocks small
+    enough that a file spans several."""
+    with mock.patch.object(preprocess, "_BLOCK_CHARS", block_chars):
+        got = outcome(read_unified_jsonl, text, newline)
+    assert got == outcome(read_unified_line_by_line, text, newline)
+
+
+@pytest.mark.parametrize("newline", ["\n", None, ""], ids=["lf", "universal", "untranslated"])
+@pytest.mark.parametrize("line", NEAR_LINES)
+def test_each_near_line_reads_as_line_by_line(newline, line):
+    good = json.dumps(UNIFIED, sort_keys=True)
+    text = f"{good}\n{line}\n{good}\n"
+    assert outcome(read_unified_jsonl, text, newline) == outcome(read_unified_line_by_line, text, newline)
+
+
+def test_line_breaks_inside_a_carriage_return_line_are_no_lines(tmp_path):
+    """A file read with ``newline="\\r"`` splits lines at CR alone, so a line
+    may hold LF breaks around whole template lines: as many matches as lines,
+    yet a line-by-line error."""
+    good = json.dumps(UNIFIED, sort_keys=True)
+    path = tmp_path / "unified.jsonl"
+    path.write_bytes(f"x\n{good}\n{good}\ny\rz\r".encode())
+
+    def outcome_of(read):
+        with open(path, encoding="utf-8", newline="\r") as fp:
+            try:
+                return repr(read(fp))
+            except ValueError as exc:
+                return f"ValueError: {exc}"
+
+    got = outcome_of(read_unified_jsonl)
+    assert got == outcome_of(read_unified_line_by_line)
+    assert got.startswith("ValueError: bad unified record on line 1"), got
+
+
+def test_a_file_of_many_blocks_reads_every_record():
+    records = [UnifiedCrimeRecord(CrimeCategory(i % 6 + 1), MONTH_NAMES[i % 12], WEEKDAY_NAMES[i % 7],
+                                  TimeBin.T6, f"place-{i % 97}", 2000 + i % 20, 21) for i in range(3000)]
+    text = written(write_unified_jsonl, records)
+    assert len(text) > 4 * preprocess._BLOCK_CHARS
+    got = read_unified_jsonl(io.StringIO(text))
+    assert got == records
+    assert len({id(r.location) for r in got}) == 97  # one string per distinct location
+    bad = text.replace('"place-5"', '" place-5"', 2000)
+    assert outcome(read_unified_jsonl, bad, None) == outcome(read_unified_line_by_line, bad, None)

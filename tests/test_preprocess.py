@@ -1,8 +1,10 @@
 """Unified-schema transformation: time bins, temporal derivation, type grouping."""
 
+import copy
 import datetime as dt
 import io
 import json
+import pickle
 from collections import Counter
 
 import pytest
@@ -50,6 +52,15 @@ class TestBinTime:
     def test_bin_hours_attribute_matches_bin_time(self):
         for b in TimeBin:
             assert all(bin_time(h) is b for h in b.hours)
+
+    def test_a_dict_keyed_by_bin_finds_every_member_however_obtained(self):
+        by_bin = {b: b.value for b in TimeBin}
+        for b in TimeBin:
+            for found in (TimeBin(b.value), TimeBin[b.name], bin_time(b.hours[0]), copy.deepcopy(b),
+                          pickle.loads(pickle.dumps(b))):
+                assert found is b and hash(found) == hash(b)
+                assert by_bin[found] == b.value
+        assert len({*TimeBin, *TimeBin}) == len(TimeBin)
 
     @pytest.mark.parametrize("hour", [-1, 24, 100])
     def test_out_of_range(self, hour):
