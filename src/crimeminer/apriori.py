@@ -28,8 +28,7 @@ from operator import itemgetter
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 from .errors import EmptyTransactionListError
-from .stats import round_half_up
-from .vocab import TIME_RANK, WEEKDAY_RANK, UnifiedCrimeRecord
+from .vocab import TIME_RANK, WEEKDAY_RANK, UnifiedCrimeRecord, round_half_up
 
 Item = Hashable
 

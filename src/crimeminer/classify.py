@@ -7,8 +7,11 @@ Two predictors share the (month, day, time, location) feature space:
 * a best-first binary decision tree using information gain, capped at a
   maximum number of leaves.
 
-Both are deterministic: identical training data and parameters produce
-byte-identical serialized models.
+Both train on a ``Dataset``'s histogram: class counts plus each feature's
+joint (value, class) counts. The tree is grown in ``growth``, which counts
+only the smaller child of each split and breaks gain ties in feature, then
+value order. Both are deterministic: identical training data and parameters
+produce byte-identical serialized models.
 """
 
 from __future__ import annotations
@@ -17,12 +20,14 @@ import json
 import math
 import random
 from collections import Counter
-from operator import attrgetter
-from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence, TextIO, Union
+from itertools import compress
+from operator import attrgetter, sub
+from typing import Hashable, Mapping, NamedTuple, Sequence, TextIO, Union
 
 from .errors import AllZeroCountsError, DatasetTooSmallError, EmptyTrainingSetError
 from .vocab import (
-    ATTRIBUTES, MONTH_RANK, WEEKDAY_RANK, CrimeCategory, TimeBin, UnifiedCrimeRecord,
+    ATTRIBUTES, MONTH_RANK, TIME_BIN_ORDER, WEEKDAY_RANK, CrimeCategory, TimeBin,
+    UnifiedCrimeRecord,
 )
 
 FEATURES = ("month", "day", "time", "location")
@@ -99,8 +104,9 @@ def split_train_test(dataset: Sequence, spec: SplitSpec) -> tuple[list, list]:
 # --- integer-coded datasets ------------------------------------------------------
 
 CLASS_INDEX = {c: i for i, c in enumerate(CLASSES)}  # each class's position in CLASSES
-_CLASS_BITS = 3  # a joint code is value << 3 | class index: six classes fit
-_CLASS_MASK = (1 << _CLASS_BITS) - 1
+N_CLASSES = len(CLASSES)  # a joint code is value * N_CLASSES + class index
+# Time bins are coded from the members: Enum's ``value`` property is slow.
+_MEMBER_CODES = {"time": {b: i for i, b in enumerate(TIME_BIN_ORDER)}}
 
 
 class Dataset:
@@ -110,41 +116,72 @@ class Dataset:
     sorted), ``codes[f]`` maps each value to its position there, and
     ``columns[f][i]`` is record i's position. ``labels[i]`` is record i's
     class as an index into ``CLASSES``; ``joint[f][i]`` packs both as
-    ``value << 3 | label``. ``rows`` lists the records a dataset holds, in
+    ``value * 6 + label``. ``rows`` lists the records a dataset holds, in
     order: a subset shares every column and keeps its own ``rows``.
     """
 
-    __slots__ = ("values", "codes", "columns", "labels", "joint", "rows")
+    __slots__ = ("values", "codes", "columns", "labels", "joint", "rows", "_histogram")
 
-    def __init__(self, values, codes, columns, labels, joint, rows):
+    def __init__(self, values, codes, columns, labels, joint, rows, histogram=None):
         self.values = values
         self.codes = codes
         self.columns = columns
         self.labels = labels
         self.joint = joint
         self.rows = rows
+        self._histogram = histogram
 
     @classmethod
     def from_records(cls, records: Sequence[UnifiedCrimeRecord]) -> "Dataset":
         labels = list(map(CLASS_INDEX.__getitem__, map(_crime_type, records)))
         values, codes, columns, joint = {}, {}, {}, {}
         for feature in FEATURES:
-            attribute = ATTRIBUTES[feature]
-            raw = list(map(attribute.read, records))
-            values[feature] = attribute.order or tuple(sorted(set(raw)))
+            raw = list(map(attrgetter(feature), records))  # time: the ``TimeBin`` members
+            values[feature] = ATTRIBUTES[feature].order or tuple(sorted(set(raw)))
             codes[feature] = {v: i for i, v in enumerate(values[feature])}
-            columns[feature] = list(map(codes[feature].__getitem__, raw))
-            joint[feature] = [v << _CLASS_BITS | c for v, c in zip(columns[feature], labels)]
-        return cls(values, codes, columns, labels, joint, range(len(records)))
+            columns[feature] = list(map(_MEMBER_CODES.get(feature, codes[feature]).__getitem__, raw))
+            joint[feature] = [v * N_CLASSES + c for v, c in zip(columns[feature], labels)]
+        return cls(values, codes, columns, labels, joint, list(range(len(records))))
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def subset(self, indices: Sequence[int]) -> "Dataset":
-        """The records at ``indices`` (positions in this dataset), in that order."""
-        rows = self.rows
+    @property
+    def histogram(self) -> tuple[list[int], ...]:
+        """Class counts by class index, then each feature's counts indexed by
+        ``joint`` code, of ``rows``: counted on first use unless given."""
+        if self._histogram is None:
+            self._histogram = count_histogram(self, self.rows)
+        return self._histogram
+
+    def subset(self, indices: Sequence[int], histogram=None) -> "Dataset":
+        """The records at ``indices`` (positions in this dataset), in that
+        order; ``histogram``, if given, must be theirs."""
         return Dataset(self.values, self.codes, self.columns, self.labels, self.joint,
-                       [rows[i] for i in indices])
+                       list(map(self.rows.__getitem__, indices)), histogram)
+
+
+def count_histogram(data: Dataset, rows) -> tuple[list[int], ...]:
+    """``data``'s histogram (see ``Dataset.histogram``) of the records at ``rows``."""
+    histogram = []
+    for feature in FEATURES:
+        counts = [0] * (len(data.values[feature]) * N_CLASSES)
+        for code, n in Counter(map(data.joint[feature].__getitem__, rows)).items():
+            counts[code] = n
+        histogram.append(counts)
+    day = histogram[1]  # summed over its values, any feature's counts give the class counts
+    return ([sum(day[k::N_CLASSES]) for k in range(N_CLASSES)], *histogram)
+
+
+def by_value(joint: list[int]) -> list[tuple[int, ...]]:
+    """Each value's class counts, from one feature's histogram."""
+    return list(zip(*[iter(joint)] * N_CLASSES))
+
+
+def histogram_minus(whole: tuple[list[int], ...], part: tuple[list[int], ...]) -> tuple[list[int], ...]:
+    """The histogram of some rows less that of a subset of them (LightGBM's
+    histogram subtraction; Ke et al. 2017)."""
+    return tuple(list(map(sub, w, p)) for w, p in zip(whole, part))
 
 
 def as_dataset(data: Dataset | Sequence[UnifiedCrimeRecord]) -> Dataset:
@@ -181,26 +218,25 @@ def nb_train(train: Dataset | Sequence[UnifiedCrimeRecord], alpha: float = 1.0) 
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     data = as_dataset(train)
-    rows = data.rows
-    n = len(rows)
-    class_counts = Counter(map(data.labels.__getitem__, rows))
-    log_prior = {c: _log(class_counts.get(k, 0) / n) for k, c in enumerate(CLASSES)}
+    n = len(data)
+    class_counts, *joints = data.histogram
+    log_prior = {c: _log(class_counts[k] / n) for k, c in enumerate(CLASSES)}
 
     vocab: dict[str, tuple[str, ...]] = {}
     cond_log: dict[str, dict[CrimeCategory, dict[str, float]]] = {}
     unseen_log: dict[str, dict[CrimeCategory, float]] = {}
-    for feature in FEATURES:
-        joint = Counter(map(data.joint[feature].__getitem__, rows))
-        codes = sorted({j >> _CLASS_BITS for j in joint})
+    for feature, joint in zip(FEATURES, joints):
+        per_value = by_value(joint)
+        codes = list(compress(range(len(per_value)), map(any, per_value)))
         values = [data.values[feature][v] for v in codes]
         vocab[feature] = tuple(values)
         per_class: dict[CrimeCategory, dict[str, float]] = {}
         per_class_unseen: dict[CrimeCategory, float] = {}
         for k, c in enumerate(CLASSES):
-            denominator = class_counts.get(k, 0) + alpha * (len(values) + 1)
+            denominator = class_counts[k] + alpha * (len(values) + 1)
             if denominator > 0:
                 table = {
-                    name: _log((joint.get(v << _CLASS_BITS | k, 0) + alpha) / denominator)
+                    name: _log((per_value[v][k] + alpha) / denominator)
                     for v, name in zip(codes, values)
                 }
                 per_class_unseen[c] = _log(alpha / denominator)
@@ -266,18 +302,8 @@ def entropy(label_counts: Mapping[Hashable, int]) -> float:
     total = sum(label_counts.values())
     if total == 0:
         raise AllZeroCountsError("entropy of an empty distribution is undefined")
-    return _bits(label_counts.values(), total)
-
-
-def _bits(counts: Iterable[int], total: int) -> float:
-    """``entropy`` of counts known to be non-negative and sum to ``total > 0``,
-    summed in their order."""
-    h = 0.0
-    for count in counts:
-        if count:
-            p = count / total
-            h -= p * math.log2(p)
-    return h
+    from .growth import XLog2X
+    return XLog2X().weighted_entropy(label_counts.values(), total) / total
 
 
 class TreeLeaf(NamedTuple):
@@ -320,59 +346,6 @@ class DecisionTree(NamedTuple):
         return [node for node in self._nodes() if isinstance(node, TreeSplit)]
 
 
-def _majority(counts: Mapping[int, int]) -> int:
-    return min(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
-
-
-class _GrowNode:
-    """Frontier bookkeeping during best-first growth."""
-
-    __slots__ = ("rows", "counts", "creation", "best", "children")
-
-    def __init__(self, data: Dataset, rows, creation):
-        self.rows = rows
-        self.counts = Counter(map(data.labels.__getitem__, rows))
-        self.creation = creation
-        self.best = _best_split(data, rows, self.counts)
-        self.children: tuple | None = None  # (feature, value, gain, true_node, false_node)
-
-
-def _best_split(data: Dataset, rows, counts):
-    """Highest-gain (feature == value) predicate over ``data``'s records at
-    ``rows`` (class index counts ``counts``), or None if no gain is positive.
-
-    Ties break by feature order month < day < time < location, then by the
-    feature's canonical value order (both enforced by iteration order with a
-    strictly-greater comparison). A predicate already on the node's path is
-    never chosen again: it holds for every record or for none.
-    """
-    parent_entropy = entropy(counts)
-    if parent_entropy == 0.0:
-        return None
-    total = len(rows)
-    parent = counts.items()
-    best = None
-    for feature in FEATURES:
-        # Joint (value, class) codes counted in C. Each histogram keeps its
-        # classes in first-seen order and the false side keeps the parent's,
-        # so ``_bits`` sums every entropy in the per-record search's order.
-        by_value: dict[int, dict[int, int]] = {}
-        for joint, n in Counter(map(data.joint[feature].__getitem__, rows)).items():
-            by_value.setdefault(joint >> _CLASS_BITS, {})[joint & _CLASS_MASK] = n
-        for value in sorted(by_value):
-            true_counts = by_value[value]
-            n_true = sum(true_counts.values())
-            if n_true == total:
-                continue
-            false_counts = [n - true_counts.get(label, 0) for label, n in parent]
-            children = (n_true * _bits(true_counts.values(), n_true)
-                        + (total - n_true) * _bits(false_counts, total - n_true))
-            gain = parent_entropy - children / total
-            if gain > 0.0 and (best is None or gain > best[0]):
-                best = (gain, feature, data.values[feature][value])
-    return best
-
-
 def dt_train(train: Dataset | Sequence[UnifiedCrimeRecord], max_leaves: int = 10) -> DecisionTree:
     """Grow a tree best-first: always split the frontier leaf whose best
     predicate yields the largest information gain, until the leaf cap is hit
@@ -382,37 +355,8 @@ def dt_train(train: Dataset | Sequence[UnifiedCrimeRecord], max_leaves: int = 10
         raise EmptyTrainingSetError("cannot train a decision tree on an empty set")
     if max_leaves < 2:
         raise ValueError(f"max_leaves must be >= 2, got {max_leaves}")
-
-    data = as_dataset(train)
-    creation = 0
-    root = _GrowNode(data, data.rows, creation)
-    frontier = [root]
-    n_leaves = 1
-    while n_leaves < max_leaves:
-        splittable = [g for g in frontier if g.best is not None]
-        if not splittable:
-            break
-        node = max(splittable, key=lambda g: (g.best[0], -g.creation))
-        gain, feature, value = node.best
-        column, code = data.columns[feature], data.codes[feature][value]
-        true_rows = [i for i in node.rows if column[i] == code]
-        false_rows = [i for i in node.rows if column[i] != code]
-        true_child = _GrowNode(data, true_rows, creation + 1)
-        false_child = _GrowNode(data, false_rows, creation + 2)
-        creation += 2
-        node.children = (feature, value, gain, true_child, false_child)
-        frontier.remove(node)
-        frontier.extend((true_child, false_child))
-        n_leaves += 1
-
-    def materialize(grow: _GrowNode) -> TreeSplit | TreeLeaf:
-        if grow.children is None:
-            counts = {CLASSES[label]: n for label, n in sorted(grow.counts.items())}
-            return TreeLeaf(counts=counts, majority=CLASSES[_majority(grow.counts)])
-        feature, value, gain, true_child, false_child = grow.children
-        return TreeSplit(feature, value, gain, materialize(true_child), materialize(false_child))
-
-    return DecisionTree(root=materialize(root), max_leaves=max_leaves)
+    from .growth import grow  # loaded here: ``predict`` never trains
+    return DecisionTree(root=grow(as_dataset(train), max_leaves), max_leaves=max_leaves)
 
 
 def dt_predict(tree: DecisionTree, x: Features) -> CrimeCategory:

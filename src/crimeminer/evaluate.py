@@ -11,11 +11,12 @@ import json
 import random
 import sys
 from collections import Counter
+from itertools import chain
 from typing import Mapping, NamedTuple, Sequence, TextIO
 
 from .classify import (
     CLASS_INDEX, CLASSES, FEATURES, Dataset, DecisionTree, NaiveBayesModel, TreeLeaf, as_dataset,
-    fit_model,
+    fit_model, histogram_minus,
 )
 from .errors import (
     EmptyInputError,
@@ -23,8 +24,7 @@ from .errors import (
     LengthMismatchError,
     TooFewRecordsError,
 )
-from .stats import round_half_up
-from .vocab import CrimeCategory, UnifiedCrimeRecord
+from .vocab import CrimeCategory, UnifiedCrimeRecord, round_half_up
 
 # Records to score or train on: a ``Dataset`` or a list, encoded once on entry.
 Data = Dataset | Sequence[UnifiedCrimeRecord]
@@ -149,12 +149,11 @@ def _fit_predict(train, test, model_kind, alpha, max_leaves) -> ConfusionMatrix:
 def _confusion(model, test: Data) -> ConfusionMatrix:
     """Actual against predicted class of every test record."""
     data = as_dataset(test)
-    actual = map(data.labels.__getitem__, data.rows)
     if isinstance(model, NaiveBayesModel):
-        predicted = _nb_predicted(model, data)
+        pairs = Counter(zip(map(data.labels.__getitem__, data.rows), _nb_predicted(model, data)))
     else:
-        predicted = _dt_predicted(model, data)
-    return ConfusionMatrix.from_counts(Counter(zip(actual, predicted)))
+        pairs = _dt_pairs(model, data)
+    return ConfusionMatrix.from_counts(pairs)
 
 
 # Whole-dataset scoring lives here rather than in ``classify``, so that a
@@ -181,23 +180,23 @@ def _nb_predicted(model: NaiveBayesModel, data: Dataset) -> list[int]:
     return [winner[row.index(max(row))] for row in zip(*scores)]
 
 
-def _dt_predicted(tree: DecisionTree, data: Dataset) -> list[int]:
-    """``dt_predict``'s class of every record, as an index into ``CLASSES``."""
-    def coded(node):  # a leaf's class index, or (column, code, if_true, if_false)
+def _dt_pairs(tree: DecisionTree, data: Dataset) -> Counter:
+    """Counts of (actual, ``dt_predict``'s) class index pairs of every record:
+    each split node splits its row list, and each leaf counts its rows' classes."""
+    pairs: Counter = Counter()
+    stack = [(tree.root, data.rows)]
+    while stack:
+        node, rows = stack.pop()
         if isinstance(node, TreeLeaf):
-            return CLASS_INDEX[node.majority]
+            predicted = CLASS_INDEX[node.majority]
+            for actual, n in Counter(map(data.labels.__getitem__, rows)).items():
+                pairs[actual, predicted] += n
+            continue
+        column = data.columns[node.feature]
         code = data.codes[node.feature].get(node.value, -1)  # -1: a value no record has
-        return (data.columns[node.feature], code, coded(node.if_true), coded(node.if_false))
-
-    root = coded(tree.root)
-    predicted = []
-    for i in data.rows:
-        node = root
-        while type(node) is tuple:
-            column, code, if_true, if_false = node
-            node = if_true if column[i] == code else if_false
-        predicted.append(node)
-    return predicted
+        stack.append((node.if_true, [i for i in rows if column[i] == code]))
+        stack.append((node.if_false, [i for i in rows if column[i] != code]))
+    return pairs
 
 
 def make_fold_indices(n: int, k: int, seed: int) -> list[list[int]]:
@@ -245,17 +244,21 @@ def cross_validate(
         raise TooFewRecordsError(f"{n} records cannot fill {k} folds")
     folds = make_fold_indices(n, k, seed)
     data = as_dataset(dataset)
+    # Each fold is counted once, before any thread starts. The whole histogram
+    # is their sum, and a training set's is the whole less its fold's.
+    tests = [data.subset(fold) for fold in folds]
+    whole = [list(map(sum, zip(*counts))) for counts in zip(*(test.histogram for test in tests))]
 
-    def run_fold(fold: list[int]):
-        in_fold = set(fold)
-        train = data.subset([i for i in range(n) if i not in in_fold])
-        return _fit_predict(train, data.subset(fold), model_kind, alpha, max_leaves)
+    def run_fold(fold: list[int], test: Dataset):
+        train = data.subset(sorted(chain.from_iterable(f for f in folds if f is not fold)),
+                            histogram_minus(whole, test.histogram))
+        return _fit_predict(train, test, model_kind, alpha, max_leaves)
 
     if threads > 1:
         with sys.modules[__name__].ThreadPoolExecutor(max_workers=threads) as pool:
-            matrices = list(pool.map(run_fold, folds))
+            matrices = list(pool.map(run_fold, folds, tests))
     else:
-        matrices = [run_fold(fold) for fold in folds]
+        matrices = list(map(run_fold, folds, tests))
 
     fold_accuracies = tuple(m.trace / m.total for m in matrices)
     pooled = tuple(tuple(map(sum, zip(*rows))) for rows in zip(*(m.cells for m in matrices)))

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
-from decimal import ROUND_HALF_UP, Decimal
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
 from .errors import InsufficientLocationsError
-from .vocab import ATTRIBUTES, UnifiedCrimeRecord
+from .vocab import ATTRIBUTES, UnifiedCrimeRecord, round_half_up
 
 CATEGORICAL_ATTRIBUTES = tuple(ATTRIBUTES)
 
@@ -111,16 +110,13 @@ def crosstab(
     if row_attribute == col_attribute:
         raise ValueError("row and column attributes must differ")
     records = _year_filtered(dataset, year_filter)
-    extract_row = ATTRIBUTES[row_attribute].read
-    extract_col = ATTRIBUTES[col_attribute].read
-    pair_counts: Counter = Counter()
+    pair_counts = Counter(zip(map(ATTRIBUTES[row_attribute].read, records),
+                              map(ATTRIBUTES[col_attribute].read, records)))
     row_counts: Counter = Counter()
     col_counts: Counter = Counter()
-    for r in records:
-        rv, cv = extract_row(r), extract_col(r)
-        pair_counts[(rv, cv)] += 1
-        row_counts[rv] += 1
-        col_counts[cv] += 1
+    for (rv, cv), n in pair_counts.items():
+        row_counts[rv] += n
+        col_counts[cv] += n
     row_labels = tuple(_ordered_values(row_attribute, row_counts))
     col_labels = tuple(_ordered_values(col_attribute, col_counts))
     cells = tuple(
@@ -160,12 +156,6 @@ def top_and_bottom_locations(
     if bottom_k:
         picks.extend(ranking.rows[n - bottom_k :])
     return FrequencyTable("location", tuple(picks), ranking.total, None)
-
-
-def round_half_up(value: float, places: int) -> str:
-    """Decimal-string rounding with ties away from zero, e.g. 0.125 -> '0.13'."""
-    quantum = Decimal(1).scaleb(-places)
-    return str(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
 
 
 def write_frequency_csv(table: FrequencyTable, fp: TextIO) -> None:

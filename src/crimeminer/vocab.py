@@ -31,6 +31,12 @@ def normalize_category(name: str) -> str:
     return _WHITESPACE_RUN.sub(" ", name.strip().lower())
 
 
+def round_half_up(value: float, places: int) -> str:
+    """Decimal-string rounding with ties away from zero, e.g. 0.125 -> '0.13'."""
+    from decimal import ROUND_HALF_UP, Decimal  # loaded on first use: ``predict`` never rounds
+    return str(Decimal(repr(value)).quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_UP))
+
+
 class Schema(Enum):
     """Which city layout a crime CSV follows."""
 

@@ -10,7 +10,10 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from crimeminer.classify import FEATURES, FeatureVector, feature_of
+from crimeminer.classify import (
+    CLASSES, FEATURES, Dataset, DecisionTree, FeatureVector, TreeLeaf, TreeSplit, feature_of,
+)
+from crimeminer.growth import XLog2X, best_split
 from crimeminer.ingestion import raw_from_json_dict
 from crimeminer.preprocess import (
     MONTH_NAMES,
@@ -113,39 +116,95 @@ def brute_force_posterior(train, x: FeatureVector, alpha: float) -> dict[CrimeCa
     return {c: p / total for c, p in joint.items()}
 
 
+def listed_predicates(records) -> list[tuple[str, str]]:
+    """Every ``feature == value`` predicate of ``records``, in ``FEATURES``
+    order, then canonical value order (locations alphabetically)."""
+    orders = {"month": MONTH_NAMES, "day": WEEKDAY_NAMES,
+              "time": tuple(b.value for b in TIME_BIN_ORDER)}
+    listed = []
+    for feature in FEATURES:
+        present = {feature_of(r, feature) for r in records}
+        values = [v for v in orders[feature] if v in present] if feature in orders else sorted(present)
+        listed.extend((feature, value) for value in values)
+    return listed
+
+
+def class_independent(records, feature, value) -> bool:
+    """Whether ``feature == value`` splits ``records`` with equal class
+    proportions on both sides, checked in integers."""
+    labels = [r.crime_type for r in records]
+    true_side = [r.crime_type for r in records if feature_of(r, feature) == value]
+    return all(true_side.count(c) * len(labels) == len(true_side) * labels.count(c) for c in set(labels))
+
+
 def brute_force_best_split(records):
     """The tree's best split, by listing every predicate and partitioning.
 
-    Every ``feature == value`` predicate is listed in ``FEATURES`` order,
-    then canonical value order (locations alphabetically). Its information
-    gain comes from plain class counts of the two explicit partitions; a
-    partition independent of the class (equal class proportions on both
-    sides, checked in integers) has gain exactly 0. Returns every
-    ``(gain, feature, value)`` within 1e-12 of the largest gain, in listing
-    order, or ``[]`` when no gain is positive.
+    Every predicate of ``listed_predicates`` gets its information gain from
+    plain class counts of the two explicit partitions; a partition independent
+    of the class has gain exactly 0. Returns every ``(gain, feature, value)``
+    within 1e-12 of the largest gain, in listing order, or ``[]`` when no gain
+    is positive.
     """
     def bits(labels):
         return -sum(k / len(labels) * math.log2(k / len(labels))
                     for k in (labels.count(c) for c in set(labels)))
 
-    orders = {"month": MONTH_NAMES, "day": WEEKDAY_NAMES,
-              "time": tuple(b.value for b in TIME_BIN_ORDER)}
     labels = [r.crime_type for r in records]
     n = len(records)
     listed = []
-    for feature in FEATURES:
-        present = {feature_of(r, feature) for r in records}
-        for value in [v for v in orders[feature] if v in present] if feature in orders else sorted(present):
-            true_side = [r.crime_type for r in records if feature_of(r, feature) == value]
-            false_side = [r.crime_type for r in records if feature_of(r, feature) != value]
-            if all(true_side.count(c) * n == len(true_side) * labels.count(c) for c in set(labels)):
-                gain = 0.0
-            else:
-                children = len(true_side) * bits(true_side) + len(false_side) * bits(false_side)
-                gain = bits(labels) - children / n
-            listed.append((gain, feature, value))
+    for feature, value in listed_predicates(records):
+        true_side = [r.crime_type for r in records if feature_of(r, feature) == value]
+        false_side = [r.crime_type for r in records if feature_of(r, feature) != value]
+        if class_independent(records, feature, value):
+            gain = 0.0
+        else:
+            children = len(true_side) * bits(true_side) + len(false_side) * bits(false_side)
+            gain = bits(labels) - children / n
+        listed.append((gain, feature, value))
     top = max(gain for gain, _, _ in listed)
     return [entry for entry in listed if entry[0] >= top - 1e-12] if top > 0.0 else []
+
+
+def reference_dt_train(records, max_leaves: int) -> DecisionTree:
+    """``dt_train`` without histogram subtraction: every node lists its own
+    rows and counts its histogram from them, and ``best_split`` scores it."""
+    data = Dataset.from_records(records)
+
+    def grow(rows, creation):
+        histogram = [[0] * len(CLASSES)] + [[0] * (len(data.values[f]) * len(CLASSES)) for f in FEATURES]
+        for i in rows:
+            histogram[0][data.labels[i]] += 1
+            for counts, f in zip(histogram[1:], FEATURES):
+                counts[data.joint[f][i]] += 1
+        return {"rows": rows, "histogram": histogram, "creation": creation,
+                "best": best_split(data, histogram, XLog2X()), "children": None}
+
+    root = grow(list(range(len(records))), 0)
+    frontier, creation = [root], 0
+    while len(frontier) < max_leaves:
+        splittable = [g for g in frontier if g["best"] is not None]
+        if not splittable:
+            break
+        node = max(splittable, key=lambda g: (g["best"][0], -g["creation"]))
+        gain, feature, value = node["best"]
+        column, code = data.columns[feature], data.codes[feature][value]
+        node["children"] = (feature, value, gain,
+                            grow([i for i in node["rows"] if column[i] == code], creation + 1),
+                            grow([i for i in node["rows"] if column[i] != code], creation + 2))
+        creation += 2
+        frontier.remove(node)
+        frontier.extend(node["children"][3:])
+
+    def materialize(node):
+        if node["children"] is None:
+            classes = node["histogram"][0]
+            majority = min(range(len(CLASSES)), key=lambda label: (-classes[label], label))
+            return TreeLeaf({c: n for c, n in zip(CLASSES, classes) if n}, CLASSES[majority])
+        feature, value, gain, if_true, if_false = node["children"]
+        return TreeSplit(feature, value, gain, materialize(if_true), materialize(if_false))
+
+    return DecisionTree(materialize(root), max_leaves)
 
 
 def _reference_read_jsonl(fp, decode, kind):

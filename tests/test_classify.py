@@ -10,10 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    LOCATIONS,
     brute_force_best_split,
     brute_force_posterior,
+    class_independent,
     datasets,
+    listed_predicates,
     make_record,
+    reference_dt_train,
     unified_records,
 )
 from crimeminer.classify import (
@@ -24,10 +28,10 @@ from crimeminer.classify import (
     SplitSpec,
     TreeLeaf,
     TreeSplit,
-    _best_split,
     dt_predict,
     dt_train,
     entropy,
+    feature_of,
     load_model,
     nb_class_scores,
     nb_predict,
@@ -40,7 +44,8 @@ from crimeminer.errors import (
     DatasetTooSmallError,
     EmptyTrainingSetError,
 )
-from crimeminer.preprocess import CrimeCategory, TimeBin
+from crimeminer.growth import XLog2X, best_split
+from crimeminer.preprocess import MONTH_NAMES, CrimeCategory, TimeBin
 
 
 class TestSplit:
@@ -334,22 +339,81 @@ class TestDecisionTree:
         walk(tree.root, set())
 
 
+def side_multisets(records, feature, value):
+    """The class-count multisets of both sides of ``feature == value``, unordered."""
+    sides = (Counter(r.crime_type for r in records if (feature_of(r, feature) == value) is side)
+             for side in (True, False))
+    return sorted(sorted(counts.values()) for counts in sides)
+
+
 class TestBestSplit:
     @settings(max_examples=300, deadline=None)
     @given(datasets)
     def test_matches_brute_force_partitions(self, records):
         data = Dataset.from_records(records)
-        found = _best_split(data, data.rows, Counter(map(data.labels.__getitem__, data.rows)))
+        found = best_split(data, data.histogram, XLog2X())
         best = brute_force_best_split(records)
         if not best:
             assert found is None
             return
         assert found is not None
         assert found[0] == pytest.approx(best[0][0], rel=0, abs=1e-12)
-        # A predicate with the largest gain. Among predicates whose gains are
-        # equal in exact arithmetic the last bits decide, not the listing
-        # order: ``entropy`` sums each side's classes in its own count order.
         assert found[1:] in [(feature, value) for _, feature, value in best]
+        # Gains depend only on the two sides' class-count multisets, so no
+        # earlier predicate in documented order has the found one's multisets.
+        # Gains equal in exact arithmetic from other multisets are near-ties,
+        # left to the 1e-12 clause above.
+        listed = listed_predicates(records)
+        earlier = listed[:listed.index(found[1:])]
+        assert side_multisets(records, *found[1:]) not in [side_multisets(records, *p) for p in earlier]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(2, 400), st.permutations(list(CrimeCategory)))
+    def test_gains_do_not_depend_on_class_labels(self, rng, size, relabel):
+        # Relabelling the classes permutes each side's counts, not their
+        # multisets. Seeded draws give large nodes, whose entropy terms round.
+        records = [make_record(crime_type=rng.choice(list(CrimeCategory)), month=rng.choice(MONTH_NAMES),
+                               hour=rng.randrange(24), location=rng.choice(LOCATIONS))
+                   for _ in range(size)]
+        relabelled = [r._replace(crime_type=relabel[r.crime_type - 1]) for r in records]
+        splits = [[(s.feature, s.value, s.gain) for s in dt_train(data, max_leaves=12).splits()]
+                  for data in (records, relabelled)]
+        assert splits[0] == splits[1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(list(CrimeCategory)), st.booleans()), min_size=2, max_size=400))
+    def test_complementary_predicates_tie_to_the_first(self, labelled):
+        # With two time bins present, "time == T1" and "time == T2" split the
+        # records into the same two sides, swapped: the first one listed wins.
+        records = [make_record(crime_type=c, hour=10 if late else 2) for c, late in labelled]
+        data = Dataset.from_records(records)
+        found = best_split(data, data.histogram, XLog2X())
+        assert found is None or found[1:] == ("time", "T1")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=6),
+           st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    def test_class_independent_partitions_are_never_chosen(self, per_class, per_month, per_location):
+        # Class counts times month and location weights: every partition has
+        # the same class proportions on both sides, while the rounded terms
+        # of n*log2 n - sum(c*log2 c) need not cancel exactly.
+        records = [make_record(crime_type=CrimeCategory(1 + k), month=MONTH_NAMES[m],
+                               location=f"loc-{j}")
+                   for k, a in enumerate(per_class) for m, b in enumerate(per_month)
+                   for j, c in enumerate(per_location) for _ in range(a * b * c)]
+        assert all(class_independent(records, f, v) for f, v in listed_predicates(records))
+        data = Dataset.from_records(records)
+        assert best_split(data, data.histogram, XLog2X()) is None
+        assert isinstance(dt_train(records, max_leaves=10).root, TreeLeaf)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(unified_records(), min_size=1, max_size=200), st.integers(2, 16))
+    def test_subtraction_grows_the_directly_counted_tree(self, records, max_leaves):
+        buffer, expected = io.StringIO(), io.StringIO()
+        save_model(dt_train(records, max_leaves=max_leaves), buffer)
+        save_model(reference_dt_train(records, max_leaves), expected)
+        assert buffer.getvalue() == expected.getvalue()
 
 
 class TestModelSerialization:

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA_DIR
-from crimeminer import classify, cli, evaluate, ingestion, preprocess, vocab
+from crimeminer import classify, cli, evaluate, ingestion, preprocess, stats, vocab
 from crimeminer.cli import build_parser, main
 from crimeminer.preprocess import read_unified_jsonl
 from crimeminer.synthetic import generate_synthetic_dataset
@@ -678,7 +678,7 @@ class TestImports:
                                 "--output", str(pipeline / "p.json")])
         assert {"crimeminer.classify", "crimeminer.vocab"} <= loaded
         unwanted = {f"crimeminer.{name}" for name in
-                    ("ingestion", "preprocess", "apriori", "stats", "evaluate", "demographics")}
+                    ("ingestion", "preprocess", "apriori", "stats", "evaluate", "demographics", "growth")}
         assert not loaded & (unwanted | {"concurrent.futures"})
 
     def test_no_call_loads_dataclasses(self, pipeline):
@@ -738,6 +738,17 @@ class TestImports:
         train = ["train", *dataset, "--model", "dt", "--output", str(pipeline / "model.json"),
                  "--eval-report", str(pipeline / "holdout.json")]
         assert "concurrent.futures" not in modules_after(train)
+
+    def test_only_stats_loads_stats(self, pipeline):
+        """``round_half_up`` lives in ``vocab``: the stages that round their
+        output without tabulating do not compile ``stats``."""
+        dataset = ["--dataset", str(pipeline / "unified.jsonl")]
+        out = str(pipeline / "out")
+        for argv in (["mine", *dataset, "--min-sup", "0.2", "--output", out],
+                     ["train", *dataset, "--model", "nb", "--output", out, "--eval-report", f"{out}.json"],
+                     ["evaluate", *dataset, "--model", "dt", "--folds", "2", "--output", out]):
+            assert "crimeminer.stats" not in modules_after(argv), argv[0]
+        assert stats.round_half_up is vocab.round_half_up
 
     def test_help_loads_no_stage_module(self):
         loaded = modules_after(["--help"])
