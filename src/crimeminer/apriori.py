@@ -13,15 +13,11 @@ Hotspot mining gives each crime record the transaction of its three tagged
 items -- (location, L), (day, D), (time, T) -- built once per distinct
 triple and shared by the records that have it, and reports the frequent
 size-3 itemsets, each of which is one record's whole transaction.
-
-``concurrent.futures`` is imported only when counting uses threads; the
-module attribute ``ThreadPoolExecutor`` looks it up then.
 """
 
 from __future__ import annotations
 
 import csv
-import sys
 from collections import Counter
 from itertools import combinations, groupby
 from operator import itemgetter
@@ -83,7 +79,9 @@ def support(itemset: Iterable[Item], transactions: Sequence[frozenset]) -> tuple
 
 
 def __getattr__(name: str):
-    if name == "ThreadPoolExecutor":  # imported on first use: it loads ``logging``
+    # Unused here (it loads ``logging``): kept only for ``perfbench/tracer.py``, which
+    # swaps it in its traced run, until ROADMAP item 1's benchmark change drops it.
+    if name == "ThreadPoolExecutor":
         from concurrent.futures import ThreadPoolExecutor
         return ThreadPoolExecutor
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -112,13 +110,13 @@ def _generate_candidates(frequent: Iterable[frozenset]) -> list[frozenset]:
     return candidates
 
 
-def _count_chunk(
+def _count_candidates(
     candidates: Sequence[frozenset],
-    chunk: Sequence[tuple[frozenset, int]],
+    weighted: Sequence[tuple[frozenset, int]],
     k: int,
 ) -> dict[frozenset, int]:
     counts = dict.fromkeys(candidates, 0)
-    for transaction, multiplicity in chunk:
+    for transaction, multiplicity in weighted:
         for combo in combinations(transaction, k):
             subset = frozenset(combo)
             if subset in counts:
@@ -126,32 +124,11 @@ def _count_chunk(
     return counts
 
 
-def _count_candidates(
-    candidates: Sequence[frozenset],
-    weighted: Sequence[tuple[frozenset, int]],
-    k: int,
-    threads: int,
-) -> dict[frozenset, int]:
-    if threads <= 1 or len(weighted) < 2 * threads:
-        return _count_chunk(candidates, weighted, k)
-    # Partition into contiguous chunks; merging by integer addition makes the
-    # result identical to the single-threaded pass for any thread count.
-    size = (len(weighted) + threads - 1) // threads
-    chunks = [weighted[i : i + size] for i in range(0, len(weighted), size)]
-    totals = dict.fromkeys(candidates, 0)
-    with sys.modules[__name__].ThreadPoolExecutor(max_workers=threads) as pool:
-        for partial in pool.map(lambda c: _count_chunk(candidates, c, k), chunks):
-            for itemset, count in partial.items():
-                totals[itemset] += count
-    return totals
-
-
 def mine_frequent(
     transactions: Sequence[Iterable[Item]],
     min_sup: float,
     *,
     max_size: int | None = None,
-    threads: int = 1,
 ) -> MiningRun:
     """Find all itemsets of every size with support at least ``min_sup``.
 
@@ -189,7 +166,7 @@ def mine_frequent(
         if not candidates:
             itemsets[k] = {}
             break
-        counts = _count_candidates(candidates, weighted, k, threads)
+        counts = _count_candidates(candidates, weighted, k)
         current = {s: c for s, c in counts.items() if c / n >= min_sup}
         itemsets[k] = level_entry(current)
     return MiningRun(min_sup, n, itemsets, [])
@@ -209,12 +186,7 @@ def record_transaction(record: UnifiedCrimeRecord) -> frozenset:
 _TRIPLE = itemgetter(4, 2, 3)  # a record's (location, day, time)
 
 
-def mine_hotspot_patterns(
-    dataset: Sequence[UnifiedCrimeRecord],
-    min_sup: float,
-    *,
-    threads: int = 1,
-) -> MiningRun:
+def mine_hotspot_patterns(dataset: Sequence[UnifiedCrimeRecord], min_sup: float) -> MiningRun:
     """Mine (location, day, time) triples with support at least ``min_sup``.
 
     Levels 1 and 2 are still computed for pruning. Every frequent size-3
@@ -226,7 +198,7 @@ def mine_hotspot_patterns(
     triples = list(map(_TRIPLE, dataset))
     shared = {triple: record_transaction(r) for triple, r in dict(zip(triples, dataset)).items()}
     transactions = list(map(shared.__getitem__, triples))
-    run = mine_frequent(transactions, min_sup, max_size=3, threads=threads)
+    run = mine_frequent(transactions, min_sup, max_size=3)
     patterns: list[FrequentPattern] = []
     for itemset, stat in run.itemsets.get(3, {}).items():
         by_tag = dict(itemset)

@@ -84,6 +84,14 @@ class SplitSpec:
         self.seed = seed
 
 
+def seeded_permutation(n: int, seed: int) -> list[int]:
+    """``0..n-1`` shuffled by ``random.Random(seed)``: the order behind both the
+    train/test split and the cross-validation folds."""
+    indices = list(range(n))
+    random.Random(seed).shuffle(indices)
+    return indices
+
+
 def split_train_test(dataset: Sequence, spec: SplitSpec) -> tuple[list, list]:
     """Partition by a seeded pseudo-random permutation.
 
@@ -93,8 +101,7 @@ def split_train_test(dataset: Sequence, spec: SplitSpec) -> tuple[list, list]:
     n = len(dataset)
     if n < 2:
         raise DatasetTooSmallError(f"need at least 2 records to split, got {n}")
-    indices = list(range(n))
-    random.Random(spec.seed).shuffle(indices)
+    indices = seeded_permutation(n, spec.seed)
     n_train = math.floor(spec.train_fraction * n + 0.5)
     train_indices = sorted(indices[:n_train])
     test_indices = sorted(indices[n_train:])

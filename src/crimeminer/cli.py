@@ -112,7 +112,7 @@ def _mine_flags(sub: argparse.ArgumentParser) -> None:
                      help="minimum absolute count (converted by dividing by the dataset size)")
     sub.add_argument("--summary", help="run summary JSON path (default: alongside the pattern CSV)")
     sub.add_argument("--threads", type=_ranged(int, 1), default=1,
-                     help="worker threads for counting (results are identical for any value)")
+                     help="no effect, kept for old calls and config files: counting runs on one thread")
     sub.set_defaults(handler=_cmd_mine, output="patterns.csv")
 
 
@@ -145,7 +145,7 @@ def _evaluate_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--folds", type=_ranged(int, 2), default=5)
     sub.add_argument("--seed", type=int, default=42, help="seed of the fold assignment")
     sub.add_argument("--threads", type=_ranged(int, 1), default=1,
-                     help="worker threads for the folds (results are identical for any value)")
+                     help="no effect, kept for old calls and config files: the folds run on one thread")
     sub.add_argument("--csv", help="also write the per-class metrics table as CSV here")
     sub.set_defaults(handler=_cmd_evaluate)
 
@@ -412,8 +412,15 @@ def _cmd_stats(args):
     return [(args.output, functools.partial(write, table))]
 
 
+def _no_threads(args) -> None:
+    """``--threads`` is still accepted, but a value above 1 is named as ignored."""
+    if args.threads > 1:
+        args.warning = f"--threads {args.threads} has no effect; counting runs on one thread"
+
+
 def _cmd_mine(args):
     from . import apriori
+    _no_threads(args)
     if (args.min_sup is None) == (args.min_count is None):
         raise UsageError("give exactly one of --min-sup or --min-count")
     dataset = _read_dataset(args.dataset)
@@ -423,7 +430,7 @@ def _cmd_mine(args):
         min_sup = args.min_count / len(dataset)
     else:
         min_sup = args.min_sup
-    run = apriori.mine_hotspot_patterns(dataset, min_sup, threads=args.threads)
+    run = apriori.mine_hotspot_patterns(dataset, min_sup)
     summary = args.summary
     if summary is None and _destination(args.output)[1] is not None:  # beside a file only
         summary = str(Path(args.output).with_suffix(".summary.json"))
@@ -494,9 +501,10 @@ def _cmd_predict(args):
 
 def _cmd_evaluate(args):
     from . import evaluate
+    _no_threads(args)
     dataset = _read_dataset(args.dataset)
     result = evaluate.cross_validate(dataset, args.model, k=args.folds, seed=args.seed, alpha=args.alpha,
-                                     max_leaves=args.max_leaves, threads=args.threads)
+                                     max_leaves=args.max_leaves)
     return [(args.output, functools.partial(evaluate.write_cv_result_json, result)),
             (args.csv, functools.partial(evaluate.write_report_csv, result.report))]
 

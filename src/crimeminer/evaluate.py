@@ -1,22 +1,16 @@
-"""Confusion matrices, precision/recall/F1 reports, and k-fold cross-validation.
-
-``concurrent.futures`` is imported only when the folds run on threads; the
-module attribute ``ThreadPoolExecutor`` looks it up then.
-"""
+"""Confusion matrices, precision/recall/F1 reports, and k-fold cross-validation."""
 
 from __future__ import annotations
 
 import csv
 import json
-import random
-import sys
 from collections import Counter
 from itertools import chain
 from typing import Mapping, NamedTuple, Sequence, TextIO
 
 from .classify import (
     CLASS_INDEX, CLASSES, FEATURES, Dataset, DecisionTree, NaiveBayesModel, TreeLeaf, as_dataset,
-    fit_model, histogram_minus,
+    fit_model, histogram_minus, seeded_permutation,
 )
 from .errors import (
     EmptyInputError,
@@ -31,7 +25,9 @@ Data = Dataset | Sequence[UnifiedCrimeRecord]
 
 
 def __getattr__(name: str):
-    if name == "ThreadPoolExecutor":  # imported on first use: it loads ``logging``
+    # Unused here (it loads ``logging``): kept only for ``perfbench/tracer.py``, which
+    # swaps it in its traced run, until ROADMAP item 1's benchmark change drops it.
+    if name == "ThreadPoolExecutor":
         from concurrent.futures import ThreadPoolExecutor
         return ThreadPoolExecutor
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -201,8 +197,7 @@ def _dt_pairs(tree: DecisionTree, data: Dataset) -> Counter:
 
 def make_fold_indices(n: int, k: int, seed: int) -> list[list[int]]:
     """Seeded permutation sliced into k folds with sizes differing by at most 1."""
-    indices = list(range(n))
-    random.Random(seed).shuffle(indices)
+    indices = seeded_permutation(n, seed)
     folds: list[list[int]] = []
     base, extra = divmod(n, k)
     start = 0
@@ -227,7 +222,6 @@ def cross_validate(
     seed: int = 42,
     alpha: float = 1.0,
     max_leaves: int = 10,
-    threads: int = 1,
 ) -> CrossValidationResult:
     """k-fold cross-validation with a seeded fold assignment.
 
@@ -244,22 +238,16 @@ def cross_validate(
         raise TooFewRecordsError(f"{n} records cannot fill {k} folds")
     folds = make_fold_indices(n, k, seed)
     data = as_dataset(dataset)
-    # Each fold is counted once, before any thread starts. The whole histogram
-    # is their sum, and a training set's is the whole less its fold's.
+    # Each fold is counted once. The whole histogram is their sum, and a
+    # training set's is the whole less its fold's.
     tests = [data.subset(fold) for fold in folds]
     whole = [list(map(sum, zip(*counts))) for counts in zip(*(test.histogram for test in tests))]
-
-    def run_fold(fold: list[int], test: Dataset):
-        train = data.subset(sorted(chain.from_iterable(f for f in folds if f is not fold)),
-                            histogram_minus(whole, test.histogram))
-        return _fit_predict(train, test, model_kind, alpha, max_leaves)
-
-    if threads > 1:
-        with sys.modules[__name__].ThreadPoolExecutor(max_workers=threads) as pool:
-            matrices = list(pool.map(run_fold, folds, tests))
-    else:
-        matrices = list(map(run_fold, folds, tests))
-
+    matrices = [
+        _fit_predict(data.subset(sorted(chain.from_iterable(f for f in folds if f is not fold)),
+                                 histogram_minus(whole, test.histogram)),
+                     test, model_kind, alpha, max_leaves)
+        for fold, test in zip(folds, tests)
+    ]
     fold_accuracies = tuple(m.trace / m.total for m in matrices)
     pooled = tuple(tuple(map(sum, zip(*rows))) for rows in zip(*(m.cells for m in matrices)))
     return CrossValidationResult(

@@ -107,14 +107,6 @@ class TestOracleEquivalence:
                 for itemset, stat in level.items():
                     assert stat.count == expected[itemset]
 
-    def test_threaded_counting_is_output_identical(self):
-        rng = random.Random(13)
-        for _ in range(20):
-            transactions = random_transactions(rng)
-            single = mine_frequent(transactions, 0.3, threads=1)
-            multi = mine_frequent(transactions, 0.3, threads=4)
-            assert single.itemsets == multi.itemsets
-
 
 def brute_force_candidates(family, size):
     """Every (size+1)-set whose size-subsets are all in ``family``."""

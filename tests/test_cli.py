@@ -464,6 +464,17 @@ class TestExitCodes:
         assert_one_line_error(capsys, "usage error: ")
         assert not (pipeline / "cv.json").exists()
 
+    @pytest.mark.parametrize("stage, flags", [
+        ("mine", ["--min-sup", "0.2"]),
+        ("evaluate", ["--model", "nb", "--folds", "3"]),
+    ])
+    def test_threads_above_one_warns_that_it_has_no_effect(self, pipeline, capsys, stage, flags):
+        dataset = ["--dataset", str(pipeline / "unified.jsonl")]
+        assert main([stage, *dataset, *flags, "--threads", "1", "--output", str(pipeline / "one")]) == 0
+        assert capsys.readouterr().err == ""
+        assert main([stage, *dataset, *flags, "--threads", "2", "--output", str(pipeline / "two")]) == 0
+        assert capsys.readouterr().err == "warning: --threads 2 has no effect; counting runs on one thread\n"
+
     @pytest.mark.parametrize("flags", [
         ["evaluate", "--model", "nb", "--folds", "1"],
         ["evaluate", "--model", "dt", "--max-leaves", "1"],
@@ -717,9 +728,9 @@ class TestImports:
                                 "--output", out])
         assert "crimeminer.ingestion" in loaded and "crimeminer.preprocess" not in loaded
 
-    def test_thread_pool_loads_only_when_a_call_runs_on_threads(self, pipeline):
-        """``concurrent.futures`` (which loads ``logging``) is imported by the
-        ``--threads`` > 1 paths alone, and they write the serial bytes."""
+    def test_threads_flag_loads_no_thread_pool(self, pipeline):
+        """``--threads`` has no effect: any value loads no ``concurrent.futures``
+        (which loads ``logging``) and writes the same bytes."""
         dataset = ["--dataset", str(pipeline / "unified.jsonl")]
         calls = {
             "mine": [*dataset, "--min-sup", "0.1"],
@@ -731,13 +742,10 @@ class TestImports:
                 out = str(pipeline / f"{name}-{threads}")
                 argv = [name, *(flag.format(out=out) for flag in flags), "--threads", threads,
                         "--output", out]
-                assert ("concurrent.futures" in modules_after(argv)) == (threads != "1"), argv
+                assert "concurrent.futures" not in modules_after(argv), argv
                 written[threads] = sorted((p.name.replace(f"-{threads}", ""), p.read_bytes())
                                           for p in pipeline.glob(f"{name}-{threads}*"))
             assert written["1"] == written["2"] and written["1"], name
-        train = ["train", *dataset, "--model", "dt", "--output", str(pipeline / "model.json"),
-                 "--eval-report", str(pipeline / "holdout.json")]
-        assert "concurrent.futures" not in modules_after(train)
 
     def test_only_stats_loads_stats(self, pipeline):
         """``round_half_up`` lives in ``vocab``: the stages that round their

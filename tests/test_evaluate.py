@@ -178,15 +178,8 @@ class TestCrossValidation:
         result = cross_validate(dataset, "nb", k=5, seed=3)
         assert result.report.matrix.total == 50
 
-    def test_threaded_folds_match_sequential(self):
-        dataset = generate_synthetic_dataset()[:120]
-        sequential = cross_validate(dataset, "nb", k=4, seed=5)
-        threaded = cross_validate(dataset, "nb", k=4, seed=5, threads=4)
-        assert sequential == threaded
-
-    @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("kind", ["nb", "dt"])
-    def test_matches_folds_trained_from_scratch(self, kind, threads):
+    def test_matches_folds_trained_from_scratch(self, kind):
         # ``cross_validate`` trains on the whole histogram less the fold's;
         # here each fold's training records are listed and counted afresh.
         dataset, k, seed = pinned_tree_dataset(), 5, 7
@@ -208,7 +201,7 @@ class TestCrossValidation:
         accuracies = tuple(m.trace / m.total for m in matrices)
         expected = CrossValidationResult(sum(accuracies) / k, accuracies,
                                          classification_report(ConfusionMatrix.from_pairs(actual, predicted)))
-        result = cross_validate(dataset, kind, k=k, seed=seed, alpha=0.5, max_leaves=40, threads=threads)
+        result = cross_validate(dataset, kind, k=k, seed=seed, alpha=0.5, max_leaves=40)
         assert sha256_of(write_cv_result_json, result) == sha256_of(write_cv_result_json, expected)
 
     def test_too_few_records(self):
