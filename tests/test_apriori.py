@@ -107,6 +107,20 @@ class TestOracleEquivalence:
                 for itemset, stat in level.items():
                     assert stat.count == expected[itemset]
 
+    def test_counting_never_looks_up_the_thread_pool(self, monkeypatch):
+        # The module's ThreadPoolExecutor exists only for the benchmark's
+        # traced run to swap; mining counts serially and must not touch it.
+        transactions = random_transactions(random.Random(13))
+        dataset = [make_record(location=loc, day=day, hour=hour)
+                   for loc in ("cbd", "baker") for day in ("Monday", "Friday") for hour in (2, 22)] * 3
+        expected = (mine_frequent(transactions, 0.3), mine_hotspot_patterns(dataset, 0.05))
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the thread pool was used")
+
+        monkeypatch.setattr(apriori, "ThreadPoolExecutor", no_pool, raising=False)
+        assert (mine_frequent(transactions, 0.3), mine_hotspot_patterns(dataset, 0.05)) == expected
+
 
 def brute_force_candidates(family, size):
     """Every (size+1)-set whose size-subsets are all in ``family``."""

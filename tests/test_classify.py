@@ -37,6 +37,7 @@ from crimeminer.classify import (
     nb_predict,
     nb_train,
     save_model,
+    seeded_permutation,
     split_train_test,
 )
 from crimeminer.errors import (
@@ -64,6 +65,14 @@ class TestSplit:
         assert first == second
         different = split_train_test(dataset, SplitSpec(0.8, seed=8))
         assert first != different
+
+    def test_train_side_is_the_head_of_the_seeded_permutation(self):
+        # The same permutation cuts the cross-validation folds (see test_evaluate).
+        assert seeded_permutation(10, 42) == [7, 3, 2, 8, 5, 6, 9, 4, 0, 1]
+        dataset = [make_record(year=2000 + i) for i in range(10)]
+        train, test = split_train_test(dataset, SplitSpec(0.8, seed=42))
+        assert [r.year - 2000 for r in train] == [2, 3, 4, 5, 6, 7, 8, 9]
+        assert [r.year - 2000 for r in test] == [0, 1]
 
     def test_rounding_is_half_up(self):
         dataset = [make_record(), make_record(), make_record()]

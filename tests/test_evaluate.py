@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import datasets, make_record
+from crimeminer import evaluate
 from crimeminer.classify import (
     Dataset,
     SplitSpec,
@@ -17,6 +18,7 @@ from crimeminer.classify import (
     nb_predict,
     nb_train,
     save_model,
+    seeded_permutation,
     split_train_test,
 )
 from crimeminer.errors import (
@@ -153,6 +155,11 @@ class TestCrossValidation:
         flat = sorted(i for fold in folds for i in fold)
         assert flat == list(range(23))
 
+    def test_folds_are_consecutive_slices_of_the_seeded_permutation(self):
+        # The same permutation cuts the train/test split (see test_classify).
+        assert seeded_permutation(10, 42) == [7, 3, 2, 8, 5, 6, 9, 4, 0, 1]
+        assert make_fold_indices(10, 3, seed=42) == [[2, 3, 7, 8], [5, 6, 9], [0, 1, 4]]
+
     def test_leave_one_out_on_six_records(self):
         dataset = [make_record(crime_type=c, hour=int(c)) for c in CrimeCategory]
         result = cross_validate(dataset, "nb", k=6, seed=1)
@@ -219,6 +226,18 @@ class TestCrossValidation:
         dataset = generate_synthetic_dataset()[:37]
         result = cross_validate(dataset, "dt", k=5, seed=2, max_leaves=4)
         assert result.mean_accuracy == pytest.approx(sum(result.fold_accuracies) / 5)
+
+    def test_folds_never_look_up_the_thread_pool(self, monkeypatch):
+        # The module's ThreadPoolExecutor exists only for the benchmark's
+        # traced run to swap; the folds run serially and must not touch it.
+        dataset = generate_synthetic_dataset()[:60]
+        expected = [cross_validate(dataset, kind, k=4, seed=5) for kind in ("nb", "dt")]
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the thread pool was used")
+
+        monkeypatch.setattr(evaluate, "ThreadPoolExecutor", no_pool, raising=False)
+        assert [cross_validate(dataset, kind, k=4, seed=5) for kind in ("nb", "dt")] == expected
 
 
 class TestEvaluateSplit:
