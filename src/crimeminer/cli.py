@@ -343,6 +343,8 @@ def _write_outputs(outputs) -> None:
 
 def _cmd_ingest(args):
     from . import ingestion
+    if args.exclude and (args.no_filter or args.schema is ingestion.Schema.DENVER):
+        raise UsageError(f"--exclude has no effect with {'--no-filter' if args.no_filter else '--schema denver'}")
     records, report = ingestion.load_crime_csv(args.input, args.schema)
     if not args.no_filter:
         records = ingestion.filter_crimes(records, args.schema, args.exclude)

@@ -13,7 +13,8 @@ import functools
 import json
 import re
 from importlib import resources
-from operator import itemgetter
+from itertools import repeat
+from operator import itemgetter, methodcaller
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 from .errors import (
@@ -66,47 +67,77 @@ class IngestReport:
         }
 
 
-def _parse_clock(text: str) -> dt.time:
-    fields = text.split(":")
-    if len(fields) not in (2, 3):
-        raise ValueError(f"bad clock value {text!r}")
-    return dt.time(int(fields[0]), int(fields[1]))
+class _Memo(dict):
+    """``memo[key]`` is ``parse(key)``, computed once per distinct key."""
+
+    def __init__(self, parse):
+        self.parse = parse
+
+    def __missing__(self, key):
+        value = self[key] = self.parse(key)
+        return value
 
 
-def _parse_slash_date(text: str) -> dt.date:
-    """Parse ``M/D/YY[YY]``; two-digit years pivot at 2000 (``14`` means 2014)."""
-    fields = text.split("/")
-    if len(fields) != 3:
-        raise ValueError(f"bad date value {text!r}")
-    month, day, year = (int(f) for f in fields)
-    if year < 100:
-        year += 2000
-    return dt.date(year, month, day)
+_SLASH_DATE = re.compile(r"([0-9]+)/([0-9]+)/([0-9]+)")
+_CLOCK = re.compile(r"([0-9]+):([0-9]+)(?::([0-9]+))?")
 
 
-def _parse_flexible_date(text: str, dates, clocks) -> tuple[dt.date, dt.time | None]:
-    """Parse ``M/D/YY[YY] [H:MM[:SS]]`` or ISO ``YYYY-MM-DD[ HH:MM[:SS]]``,
-    the slash-date and clock parts through ``dates`` and ``clocks``.
+def _slash_date(text: str) -> dt.date | None:
+    """``M/D/YY[YY]`` in ASCII digits, else None; two-digit years pivot at 2000 (``14`` means 2014)."""
+    if match := _SLASH_DATE.fullmatch(text):
+        try:
+            month, day, year = map(int, match.groups())
+            return dt.date(year + 2000 if year < 100 else year, month, day)
+        except (ValueError, OverflowError):  # out of range, or too large for a date
+            pass
+    return None
 
-    Returns the time part as ``None`` when the value carries no clock component.
-    """
+
+def _clock(text: str) -> dt.time | None:
+    """``H:MM[:SS]`` in ASCII digits, else None; the seconds (0-59) are checked, then dropped."""
+    if match := _CLOCK.fullmatch(text):
+        try:
+            return dt.time(*map(int, match.groups("0"))).replace(second=0)
+        except (ValueError, OverflowError):
+            pass
+    return None
+
+
+def _parse_flexible_date(text: str, dates: Mapping, clocks: Mapping, missing="missing-datetime", bad="bad-datetime"):
+    """The date and time (None without a clock) of ``M/D/YY[YY] [H:MM[:SS]]``, its parts
+    looked up in ``dates`` and ``clocks`` (None for a bad part), or of ISO ``YYYY-MM-DD[ HH:MM[:SS]]``;
+    else None and the reason ``missing`` or ``bad``, Denver's by default."""
+    text = text.strip()
     parts = text.split()
+    if not parts:
+        return None, missing
     if "/" in parts[0]:
-        if len(parts) > 2:
-            raise ValueError(f"bad date value {text!r}")
-        return dates(parts[0]), clocks(parts[1]) if len(parts) == 2 else None
-    if len(text) <= 10:
-        return dt.date.fromisoformat(text), None
-    stamp = dt.datetime.fromisoformat(text)
+        date, time = dates[parts[0]], clocks[parts[1]] if len(parts) == 2 else None
+        return (None, bad) if date is None or len(parts) > 2 or (len(parts) == 2 and time is None) else (date, time)
+    try:
+        if len(text) <= 10:
+            return dt.date.fromisoformat(text), None
+        stamp = dt.datetime.fromisoformat(text)
+    except (ValueError, OverflowError):  # OverflowError: a number too large for a date
+        return None, bad
     return stamp.date(), stamp.time().replace(second=0, microsecond=0)
 
 
-def _parse_military_time(text: str) -> dt.time:
-    """Parse an up-to-4-digit military clock reading, e.g. ``2200`` -> 22:00."""
-    if not text.isdigit() or len(text) > 4:
-        raise ValueError(f"bad military time {text!r}")
-    padded = text.zfill(4)
-    return dt.time(int(padded[:2]), int(padded[2:]))
+def _la_date(cell: str, dates: Mapping, clocks: Mapping) -> dt.date | str:
+    """The date of a ``DATE OCC`` cell, or the reason it is rejected."""
+    parts = cell.split()
+    if len(parts) == 3 and parts[2].upper() in ("AM", "PM"):  # the current export's "01/08/2020 12:00:00 AM"
+        cell = f"{parts[0]} {parts[1]}"  # TIME OCC carries the time
+    date, reason = _parse_flexible_date(cell, dates, clocks, "missing-date", "bad-date")
+    return reason if date is None else date
+
+
+def _military_time(cell: str) -> dt.time | str:
+    """A ``TIME OCC`` cell's military clock of up to 4 ASCII digits (``2200`` is 22:00), or why it is rejected."""
+    if not (text := cell.strip()):
+        return "missing-time"
+    hour, minute = divmod(int(text), 100) if text.isascii() and text.isdigit() and len(text) <= 4 else (24, 0)
+    return dt.time(hour, minute) if hour < 24 and minute < 60 else "bad-time"
 
 
 _FLAG_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
@@ -128,23 +159,10 @@ class _Rejected(Exception):
     """A row fails a check; the one argument is the reason it is counted under."""
 
 
-def _nonempty(text: str, reason: str) -> str:
-    if not text:
-        raise _Rejected(reason)
-    return text
-
-
-def _parses(parse, text: str, reason: str, *args):
-    try:
-        return parse(text, *args)
-    except (ValueError, OverflowError):  # OverflowError: a number too large for a date
-        raise _Rejected(reason) from None
-
-
-def _csv_rows(path, required: Sequence[str], report: IngestReport) -> Iterator[tuple[int, list[str]]]:
+def _csv_rows(path, required: Sequence[str], report: IngestReport) -> Iterator[tuple[int, tuple[str, ...]]]:
     """Yield ``(row_number, cells)`` for each non-blank data row of a CSV.
 
-    ``cells`` are the stripped values of the ``required`` columns in order,
+    ``cells`` are the unstripped values of the ``required`` columns in order,
     ``""`` past the row's end. Rows read and blank rows are counted in
     ``report``; the caller accepts or rejects every row yielded. Bytes that
     are not UTF-8, or a cell over the field limit, raise ``FileUnreadableError``.
@@ -161,47 +179,21 @@ def _csv_rows(path, required: Sequence[str], report: IngestReport) -> Iterator[t
                 raise MissingColumnError(f"{path}: file is empty, no header row")
             positions = _column_positions(header, required)
             width = max(positions) + 1
+            key_cells = itemgetter(*positions)
             for row_number, row in enumerate(reader, start=1):
                 report.rows_read += 1
-                if not "".join(row).strip():
+                if not (row and row[0].strip()) and not "".join(row).strip():
                     report.reject("blank-row")
                     continue
                 row += [""] * (width - len(row))
-                yield row_number, [row[i].strip() for i in positions]
+                yield row_number, key_cells(row)
         except csv.Error as exc:
             raise FileUnreadableError(f"cannot read {path}: line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise FileUnreadableError(f"cannot read {path}: not UTF-8 text: {exc.reason}") from None
 
 
-def _denver_when(cells: Sequence[str], dates, clocks, _military) -> tuple[dt.date, dt.time, bool]:
-    _, stamp, _, flag = cells
-    date, time = _parses(_parse_flexible_date, _nonempty(stamp, "missing-datetime"), "bad-datetime", dates, clocks)
-    if time is None:
-        raise _Rejected("missing-time")
-    is_crime = _FLAG_VALUES.get(flag.lower())
-    if is_crime is None:
-        raise _Rejected("bad-is-crime")
-    return date, time, is_crime
-
-
-def _la_when(cells: Sequence[str], dates, clocks, military) -> tuple[dt.date, dt.time, None]:
-    _, raw_date, raw_time, _ = cells
-    parts = raw_date.split()
-    if len(parts) == 3 and parts[2].upper() in ("AM", "PM"):
-        # The current export's "01/08/2020 12:00:00 AM": TIME OCC carries the time.
-        raw_date = f"{parts[0]} {parts[1]}"
-    date, _ = _parses(_parse_flexible_date, _nonempty(raw_date, "missing-date"), "bad-date", dates, clocks)
-    time = _parses(military, _nonempty(raw_time, "missing-time"), "bad-time")
-    return date, time, None
-
-
-# Per schema: key columns, the position of the location among them, and the
-# check that reads date, time and crime flag from the key cells.
-_CRIME_LAYOUTS = {
-    Schema.DENVER: (DENVER_KEY_COLUMNS, 2, _denver_when),
-    Schema.LOS_ANGELES: (LA_KEY_COLUMNS, 3, _la_when),
-}
+_new = tuple.__new__  # builds a record as RawCrimeRecord._make does, without a Python frame
 
 
 def load_crime_csv(path, schema: Schema) -> tuple[list[RawCrimeRecord], IngestReport]:
@@ -213,20 +205,41 @@ def load_crime_csv(path, schema: Schema) -> tuple[list[RawCrimeRecord], IngestRe
     """
     report = IngestReport()
     records: list[RawCrimeRecord] = []
-    required, location_at, when = _CRIME_LAYOUTS[schema]
-    # Each distinct value is normalised or parsed once per call. A failed
-    # parse is not kept, so a bad value is rejected alike wherever it appears.
-    categories, locations, *parsers = map(functools.cache, (
-        normalize_category, normalize_location, _parse_slash_date, _parse_clock, _parse_military_time))
-    for row_number, cells in _csv_rows(path, required, report):
-        try:
-            category = _nonempty(cells[0], "missing-category")
-            location = _nonempty(cells[location_at], "missing-location")
-            date, time, is_crime = when(cells, *parsers)
-        except _Rejected as exc:
-            report.reject(exc.args[0])
+    append, reject = records.append, report.reject
+    denver = schema is Schema.DENVER
+    # Per-call memos keyed by cell text: each distinct value is stripped, normalised or parsed
+    # once. A blank or bad value reads as None, a failed stamp or TIME OCC as its reason.
+    categories = _Memo(lambda cell: normalize_category(cell) if cell.strip() else None)
+    locations = _Memo(lambda cell: normalize_location(cell) if cell.strip() else None)
+    flags = _Memo(lambda cell: _FLAG_VALUES.get(cell.strip().lower()))
+    dates, clocks, times = _Memo(_slash_date), _Memo(_clock), _Memo(_military_time)
+    stamps = _Memo(functools.partial(_parse_flexible_date if denver else _la_date, dates=dates, clocks=clocks))
+    for row_number, cells in _csv_rows(path, DENVER_KEY_COLUMNS if denver else LA_KEY_COLUMNS, report):
+        if denver:
+            category, stamp, location, flag = cells
+        else:
+            category, stamp, clock, location = cells
+        category, location = categories[category], locations[location]
+        if category is None or location is None:
+            reject("missing-category" if category is None else "missing-location")
             continue
-        records.append(RawCrimeRecord(categories(category), date, time, locations(location), is_crime, row_number))
+        if denver:
+            # The feed's "M/D/YY[YY] H:MM[:SS]" reads as its two parts; any other stamp takes the general parse.
+            date_text, _, clock_text = stamp.partition(" ")
+            date, time, is_crime = dates[date_text], clocks[clock_text], flags[flag]
+            if date is None or time is None:
+                date, time = stamps[stamp]  # (None, reason) for a bad stamp
+            if date is None or time is None or is_crime is None:
+                reject(time if date is None else "missing-time" if time is None else "bad-is-crime")
+                continue
+        else:
+            date, time, is_crime = dates[stamp], times[clock], None
+            if date is None:
+                date = stamps[stamp]
+            if type(date) is str or type(time) is str:
+                reject(date if type(date) is str else time)
+                continue
+        append(_new(RawCrimeRecord, (category, date, time, location, is_crime, row_number)))
     report.rows_accepted = len(records)
     return records, report
 
@@ -286,7 +299,6 @@ def _written_clock(text: str) -> dt.time:
     raise ValueError(f"time cannot be {text!r}")
 
 
-_new = tuple.__new__  # builds a record as RawCrimeRecord._make does, without a Python frame
 # Each key that ``raw_to_json_dict`` writes, with the types its value may have.
 _RAW_TYPES = {"category": (str,), "date": (str,), "time": (str, type(None)), "location": (str,),
               "is_crime": (bool, type(None)), "source_row": (int,)}
@@ -311,34 +323,52 @@ def raw_from_json_dict(obj: Mapping, dates=_written_date, clocks=_written_clock)
     return _new(RawCrimeRecord, (category, dates(date), time, location, is_crime, source_row))
 
 
-# One line of ``json.dumps(raw_to_json_dict(record), sort_keys=True)``. Only
-# the category and location, free text, can need escaping.
-_RAW_LINE = '{"category": %s, "date": "%s", "is_crime": %s, "location": %s, "source_row": %d, "time": %s}\n'
-
-
-def _flag_json(flag) -> str:
-    if flag is True:
-        return "true"
-    if flag is False:
-        return "false"
-    return "null" if flag is None else json.dumps(flag)
-
-
 def _clock_json(time: dt.time | None) -> str:
     return "null" if time is None else time.strftime('"%H:%M"')
 
 
 def write_raw_jsonl(records: Iterable[RawCrimeRecord], fp: TextIO) -> None:
-    quoted, clocks = functools.cache(json.dumps), functools.cache(_clock_json)
-    fp.writelines(_RAW_LINE % (quoted(r.offense_category), r.date.isoformat(), _flag_json(r.is_crime),
-                               quoted(r.location_name), r.source_row, clocks(r.time)) for r in records)
+    # One line of ``json.dumps(raw_to_json_dict(record), sort_keys=True)`` per record. Per-call memos
+    # encode each distinct text, date and clock once; the flag is spelled by identity, as a memo keyed
+    # by value would take 1 for True. Only the category and location, free text, can need escaping.
+    quoted, dates, clocks = _Memo(json.dumps), _Memo(methodcaller("isoformat")), _Memo(_clock_json)
+    fp.writelines(
+        f'{{"category": {quoted[category]}, "date": "{dates[date]}", "is_crime": '
+        f'{"true" if flag is True else "false" if flag is False else "null" if flag is None else json.dumps(flag)}, '
+        f'"location": {quoted[location]}, "source_row": {source_row}, "time": {clocks[time]}}}\n'
+        for category, date, time, location, flag, source_row in records)
+
+
+# The line ``write_raw_jsonl`` writes, with a group for each value, compiled by the reader alone. A string's
+# group takes no quote, backslash or control character; the clock's is empty for null; source_row has at
+# most ten digits.
+_RAW_TEMPLATE = (r'^\{"category": "([^"\\\x00-\x1f]*)", "date": "([0-9]{4}-[0-9]{2}-[0-9]{2})", '
+                 r'"is_crime": (true|false|null), "location": "([^"\\\x00-\x1f]*)", '
+                 r'"source_row": (-?(?:0|[1-9][0-9]{0,9})), "time": (?:null|"([0-9]{2}:[0-9]{2})")\}$')
+_JSON_FLAGS = {"true": True, "false": False, "null": None}
+
+
+def _raw_template_records(categories, date_texts, flags, places, source_rows, clock_texts,
+                          dates: _Memo, clocks: _Memo, texts: _Memo) -> list | None:
+    """The records of template lines' groups, or None when a date or clock is not real."""
+    try:
+        return list(map(_new, repeat(RawCrimeRecord), zip(
+            map(texts.__getitem__, categories), map(dates.__getitem__, date_texts),
+            map(clocks.__getitem__, clock_texts), map(texts.__getitem__, places),
+            map(_JSON_FLAGS.__getitem__, flags), map(int, source_rows))))
+    except ValueError:
+        return None
 
 
 def read_raw_jsonl(fp: TextIO) -> list[RawCrimeRecord]:
-    from .preprocess import read_jsonl  # imported here: the ingest stage loads no preprocess
-    # Each distinct date and clock text is parsed once.
-    dates, clocks = functools.cache(_written_date), functools.cache(_written_clock)
-    return read_jsonl(fp, lambda obj: raw_from_json_dict(obj, dates, clocks), "raw")
+    """What ``read_jsonl`` with ``raw_from_json_dict`` gives, reading blocks of
+    written lines against ``_RAW_TEMPLATE``. Each distinct date and clock is
+    parsed once, and each category and location kept as one string."""
+    from .preprocess import read_jsonl_blocks  # imported here: the ingest stage loads no preprocess
+    clocks = _Memo(_written_clock)
+    clocks[""] = None  # the template's null
+    build = functools.partial(_raw_template_records, dates=_Memo(_written_date), clocks=clocks, texts=_Memo(str))
+    return read_jsonl_blocks(fp, re.compile(_RAW_TEMPLATE, re.M), build, raw_from_json_dict, "raw")
 
 
 # --- demographics -----------------------------------------------------------
@@ -401,7 +431,10 @@ class DemographicsRecord(NamedTuple):
 
 
 def _count(text: str) -> int:
-    value = _parses(int, text, "bad-count")
+    try:
+        value = int(text)
+    except ValueError:
+        raise _Rejected("bad-count") from None
     if value < 0:
         raise _Rejected("negative-count")
     return value
@@ -422,8 +455,11 @@ def load_demographics_csv(
     records: list[DemographicsRecord] = []
     seen: set[str] = set()
     for _, cells in _csv_rows(path, [columns.neighborhood, *columns.metrics.values()], report):
+        cells = [cell.strip() for cell in cells]
         try:
-            name = normalize_location(_nonempty(cells[0], "missing-neighborhood"))
+            if not cells[0]:
+                raise _Rejected("missing-neighborhood")
+            name = normalize_location(cells[0])
             if name in seen:
                 raise DuplicateNeighborhoodError(f"neighborhood {name!r} appears more than once")
             metrics = dict(zip(columns.metrics, [_count(cell) for cell in cells[1:]]))

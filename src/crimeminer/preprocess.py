@@ -15,7 +15,7 @@ from itertools import repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO
 
-from .errors import RejectionThresholdError, UnmappedCategoryError
+from .errors import RejectionThresholdError
 from .vocab import (  # noqa: F401 -- also re-exported for existing importers
     HOUR_BINS, MONTH_NAMES, MONTH_RANK, TIME_BIN_ORDER, WEEKDAY_NAMES, WEEKDAY_RANK, CrimeCategory, Schema,
     TimeBin, UnifiedCrimeRecord, bin_time, normalize_category,
@@ -29,15 +29,6 @@ if TYPE_CHECKING:
 
 def _calendar(date: dt.date) -> tuple[str, str, int]:
     return MONTH_NAMES[date.month - 1], WEEKDAY_NAMES[date.weekday()], date.year
-
-
-def derive_temporal(when: dt.datetime) -> tuple[str, str, TimeBin, int]:
-    """Month name, weekday name, time bin, and year of a civil timestamp.
-
-    Minutes are ignored; the bin is determined by the hour alone.
-    """
-    month, day, year = _calendar(when)
-    return month, day, bin_time(when.hour), year
 
 
 class TypeMapping(NamedTuple):
@@ -64,14 +55,6 @@ class TypeMapping(NamedTuple):
         name = "denver_type_mapping.json" if schema is Schema.DENVER else "la_type_mapping.json"
         text = resources.files("crimeminer.data").joinpath(name).read_text("utf-8")
         return cls.from_dict(json.loads(text))
-
-
-def map_crime_type(raw_category: str, mapping: TypeMapping) -> CrimeCategory:
-    """Exact lookup of a normalized raw category in the mapping."""
-    try:
-        return mapping.entries[raw_category]
-    except KeyError:
-        raise UnmappedCategoryError(raw_category) from None
 
 
 class PreprocessReport:
@@ -245,11 +228,8 @@ def read_jsonl(lines: Iterable[str], decode: Callable[[object], object], kind: s
     return records
 
 
-# ``_UNIFIED_LINE`` with a group for each value, the adjacent time, type and
-# type_id in one. A string's group takes no quote, backslash or control
-# character, so it is the string's own text; the year is a JSON integer of at
-# most ten digits, which ``int`` takes; no group can match a line break, so a
-# match is one whole line.
+# ``_UNIFIED_LINE`` with a group for each value, the adjacent time, type and type_id in one. A string's
+# group takes no quote, backslash or control character; the year has at most ten digits, which ``int`` takes.
 _TEMPLATE = re.compile(
     r'^\{"day": "([A-Za-z]+)", "hour": ([0-9]+), "location": "([^"\\\x00-\x1f]+)", '
     r'"month": "([A-Za-z]+)", "time": "(T[0-9]", "type": "[A-Za-z ]+", "type_id": [0-9]+), '
@@ -263,14 +243,9 @@ _TYPE_HOUR_TEXTS = {
 _BLOCK_CHARS = 1 << 16  # lines read and matched at a time
 
 
-def _template_records(block: str, n_lines: int, years: dict, locations: dict) -> list | None:
-    """The records of ``block``'s ``n_lines`` lines when each is a whole
-    template match with known values, else None. ``years`` and ``locations``
-    hold each year and location text already checked, with its value."""
-    rows = _TEMPLATE.findall(block)
-    if len(rows) != n_lines:
-        return None
-    days, hours, places, months, types, year_texts = zip(*rows)
+def _template_records(days, hours, places, months, types, year_texts, years: dict, locations: dict) -> list | None:
+    """The records of template lines' groups when each value is known, else
+    None. ``years`` and ``locations`` hold each text already checked, with its value."""
     for text in set(year_texts).difference(years):
         years[text] = int(text)
     for text in set(places).difference(locations):
@@ -286,40 +261,44 @@ def _template_records(block: str, n_lines: int, years: dict, locations: dict) ->
         return None
 
 
-def read_unified_jsonl(fp: TextIO) -> list[UnifiedCrimeRecord]:
-    """The records of a unified JSON Lines file: what ``read_jsonl`` with
-    ``unified_from_json_dict`` gives, the same records or the same error.
+def read_jsonl_blocks(fp: TextIO, template: re.Pattern, build: Callable[..., list | None],
+                      decode: Callable[[object], object], kind: str) -> list:
+    """What ``read_jsonl`` with ``decode`` gives for ``fp``: the same records
+    or the same error. Blocks of about ``_BLOCK_CHARS`` characters are read.
+    When each line of a block matches a writer's ``template``, ``build`` gives
+    the records of its group columns, or None; any other block (a blank line,
+    an escaped string, a CRLF ending) goes through ``read_jsonl`` with its
+    true line numbers.
 
-    The lines are read in blocks of about ``_BLOCK_CHARS`` characters. A
-    block whose every line is a line that ``write_unified_jsonl`` writes is
-    matched against its template in one pass; any other block (a blank line,
-    an escaped location, a CRLF ending, anything malformed) goes through
-    ``read_jsonl`` with its true line numbers.
-
-    Why the counts suffice: ``_TEMPLATE`` matches only from the start of a
-    line (``^``) to its end (``$``), and neither its text nor any group can
-    match a line break, so each match is one whole line and no line holds
-    two. A block of m lines with m line breaks (the last may lack its own)
-    and m matches is therefore m template lines, none holding a carriage
-    return, so the file split it at exactly those breaks. Each template line
-    holds the eight written keys once, in sorted order, each value of its
-    written type; the lookups then accept only written vocabulary, a
-    (type, type_id, time, hour) the writer pairs, a year in JSON integer
-    form and a non-empty, unpadded location, which are the checks of
-    ``unified_from_json_dict``.
+    Why the counts suffice: a template matches only from the start of a line
+    (``^``) to its end (``$``), and neither its text nor any group can match
+    a line break, so each match is one whole line and no line holds two. A
+    block of m lines with m line breaks (the last may lack its own) and m
+    matches is therefore m template lines, none holding a carriage return,
+    so the file split it at exactly those breaks. Each holds the written keys
+    once, in sorted order, each value of its written type; ``build`` makes
+    the checks of ``decode`` that this leaves.
     """
-    records: list[UnifiedCrimeRecord] = []
-    years: dict[str, int] = {}
-    locations: dict[str, str] = {}  # one string object per distinct location
-    first_line = 1
+    records, first_line = [], 1
     while lines := fp.readlines(_BLOCK_CHARS):
         block = "".join(lines)
         n_lines = len(lines)
         taken = None
         if block.count("\n") + (block[-1] != "\n") == n_lines:
-            taken = _template_records(block, n_lines, years, locations)
+            rows = template.findall(block)
+            taken = build(*zip(*rows)) if len(rows) == n_lines else None
+            del rows  # not held while the next block is read
         if taken is None:
-            taken = read_jsonl(lines, unified_from_json_dict, "unified", first_line)
+            taken = read_jsonl(lines, decode, kind, first_line)
         records += taken
         first_line += n_lines
     return records
+
+
+def read_unified_jsonl(fp: TextIO) -> list[UnifiedCrimeRecord]:
+    """What ``read_jsonl`` with ``unified_from_json_dict`` gives, reading blocks
+    of written lines against ``_TEMPLATE``, whose lookups then accept only the
+    written vocabulary and pairs, a JSON integer year and a non-empty, unpadded
+    location. Each distinct location is kept as one string."""
+    build = functools.partial(_template_records, years={}, locations={})
+    return read_jsonl_blocks(fp, _TEMPLATE, build, unified_from_json_dict, "unified")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import datetime as dt
 import itertools
 import json
 import math
@@ -14,7 +16,10 @@ from crimeminer.classify import (
     CLASSES, FEATURES, Dataset, DecisionTree, FeatureVector, TreeLeaf, TreeSplit, feature_of,
 )
 from crimeminer.growth import XLog2X, best_split
-from crimeminer.ingestion import raw_from_json_dict
+from crimeminer.ingestion import (
+    DENVER_KEY_COLUMNS, LA_KEY_COLUMNS, IngestReport, RawCrimeRecord, Schema, normalize_category, normalize_location,
+    raw_from_json_dict,
+)
 from crimeminer.preprocess import (
     MONTH_NAMES,
     TIME_BIN_ORDER,
@@ -228,3 +233,122 @@ def reference_read_unified_jsonl(fp) -> list[UnifiedCrimeRecord]:
 def reference_read_raw_jsonl(fp):
     """``read_raw_jsonl`` with one plain ``json.loads`` per line and no memo."""
     return _reference_read_jsonl(fp, raw_from_json_dict, "raw")
+
+
+# --- the per-row crime CSV loader that ``load_crime_csv`` replaced ---------------
+#
+# One helper call per check per row, each cell stripped and each value parsed
+# where it appears, with no memo; the stamp fields take ASCII digits only and
+# a clock's seconds must be 0-59, the rule ``load_crime_csv`` keeps.
+
+class _Rejected(Exception):
+    pass
+
+
+def _nonempty(text, reason):
+    if not text:
+        raise _Rejected(reason)
+    return text
+
+
+def _parses(parse, text, reason, *args):
+    try:
+        return parse(text, *args)
+    except (ValueError, OverflowError):
+        raise _Rejected(reason) from None
+
+
+def _ascii_int(text):
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not ASCII digits: {text!r}")
+    return int(text)
+
+
+def _reference_clock(text):
+    fields = text.split(":")
+    if len(fields) not in (2, 3):
+        raise ValueError(f"bad clock value {text!r}")
+    hour, minute, second = map(_ascii_int, fields + ["0"] * (3 - len(fields)))
+    if second > 59:
+        raise ValueError(f"bad seconds in {text!r}")
+    return dt.time(hour, minute)
+
+
+def _reference_slash_date(text):
+    fields = text.split("/")
+    if len(fields) != 3:
+        raise ValueError(f"bad date value {text!r}")
+    month, day, year = map(_ascii_int, fields)
+    return dt.date(year + 2000 if year < 100 else year, month, day)
+
+
+def _reference_flexible_date(text):
+    parts = text.split()
+    if "/" in parts[0]:
+        if len(parts) > 2:
+            raise ValueError(f"bad date value {text!r}")
+        return _reference_slash_date(parts[0]), _reference_clock(parts[1]) if len(parts) == 2 else None
+    if len(text) <= 10:
+        return dt.date.fromisoformat(text), None
+    stamp = dt.datetime.fromisoformat(text)
+    return stamp.date(), stamp.time().replace(second=0, microsecond=0)
+
+
+def _reference_military_time(text):
+    if not (text.isascii() and text.isdigit()) or len(text) > 4:
+        raise ValueError(f"bad military time {text!r}")
+    padded = text.zfill(4)
+    return dt.time(int(padded[:2]), int(padded[2:]))
+
+
+_FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _denver_when(cells):
+    _, stamp, _, flag = cells
+    date, time = _parses(_reference_flexible_date, _nonempty(stamp, "missing-datetime"), "bad-datetime")
+    if time is None:
+        raise _Rejected("missing-time")
+    is_crime = _FLAGS.get(flag.lower())
+    if is_crime is None:
+        raise _Rejected("bad-is-crime")
+    return date, time, is_crime
+
+
+def _la_when(cells):
+    _, raw_date, raw_time, _ = cells
+    parts = raw_date.split()
+    if len(parts) == 3 and parts[2].upper() in ("AM", "PM"):
+        raw_date = f"{parts[0]} {parts[1]}"
+    date, _ = _parses(_reference_flexible_date, _nonempty(raw_date, "missing-date"), "bad-date")
+    time = _parses(_reference_military_time, _nonempty(raw_time, "missing-time"), "bad-time")
+    return date, time, None
+
+
+def reference_load_crime_csv(path, schema):
+    """``load_crime_csv`` as one helper call per check per row: the same
+    records and the same report for any readable CSV with the key columns."""
+    required, location_at, when = ((DENVER_KEY_COLUMNS, 2, _denver_when) if schema is Schema.DENVER
+                                   else (LA_KEY_COLUMNS, 3, _la_when))
+    report, records = IngestReport(), []
+    with open(path, newline="", encoding="utf-8-sig") as fp:
+        reader = csv.reader(fp)
+        header = {name.strip().lower(): i for i, name in enumerate(next(reader))}
+        positions = [header[name.lower()] for name in required]
+        for row_number, row in enumerate(reader, start=1):
+            report.rows_read += 1
+            if not "".join(row).strip():
+                report.reject("blank-row")
+                continue
+            row += [""] * (max(positions) + 1 - len(row))
+            cells = [row[i].strip() for i in positions]
+            try:
+                category = normalize_category(_nonempty(cells[0], "missing-category"))
+                location = normalize_location(_nonempty(cells[location_at], "missing-location"))
+                date, time, is_crime = when(cells)
+            except _Rejected as exc:
+                report.reject(exc.args[0])
+                continue
+            records.append(RawCrimeRecord(category, date, time, location, is_crime, row_number))
+    report.rows_accepted = len(records)
+    return records, report

@@ -287,6 +287,20 @@ class TestExitCodes:
              "--output", str(tmp_path / "raw.jsonl")]
         ) == 2
 
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    @pytest.mark.parametrize("schema, extra, named", [("denver", [], "--schema denver"),
+                                                      ("la", ["--no-filter"], "--no-filter"),
+                                                      ("denver", ["--no-filter"], "--no-filter")])
+    def test_exclude_that_filters_nothing_is_usage(self, tmp_path, capsys, route, schema, extra, named):
+        (tmp_path / "denver.csv").write_text(DENVER_CSV, encoding="utf-8")
+        (tmp_path / "config.json").write_text('{"exclude": ["traffic-accident"]}', encoding="utf-8")
+        given = ["--exclude", "traffic-accident"] if route == "flag" else ["--config", str(tmp_path / "config.json")]
+        assert main(["ingest", "--schema", schema, "--input", str(tmp_path / "denver.csv"),
+                     "--output", str(tmp_path / "raw.jsonl"), *extra, *given]) == 1
+        err = assert_one_line_error(capsys, "usage error: ")
+        assert err == f"usage error: --exclude has no effect with {named}\n"
+        assert not (tmp_path / "raw.jsonl").exists()
+
     def test_mine_needs_exactly_one_threshold(self, pipeline):
         dataset = str(pipeline / "unified.jsonl")
         assert main(["mine", "--dataset", dataset]) == 1

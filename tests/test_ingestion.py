@@ -1,11 +1,14 @@
 """Crime and demographics CSV loading."""
 
+import csv
 import datetime as dt
 import io
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+
+from conftest import reference_load_crime_csv
 
 from crimeminer.errors import (
     DuplicateNeighborhoodError,
@@ -195,6 +198,117 @@ class TestMemoisedParsing:
         path = write_csv(tmp_path, DENVER_HEADER + f"1,larceny,{stamp},baker,1\n2,larceny,{stamp},cbd,1\n")
         records, report = load_crime_csv(path, Schema.DENVER)
         assert records == [] and report.rejection_reasons == {"bad-datetime": 2}
+
+
+class TestStampDigits:
+    """Stamp fields take ASCII digits only, and a clock's seconds must be 0-59."""
+
+    @pytest.mark.parametrize("stamp, time", [
+        ("6/13/14 21:30:59", dt.time(21, 30)), ("6/13/14 21:30:00", dt.time(21, 30)),
+        ("6/13/14 21:30:5", dt.time(21, 30)), ("06/13/2014 7:05", dt.time(7, 5)),
+        ("6/13/14 21:30:xx", None), ("6/1_3/14 2:3_0", None), ("6/13/14 2:3_0", None),
+        ("6/13/14 21:30:60", None), ("\uff16/13/14 21:30", None), ("6/13/14 \uff12\uff11:30", None),
+        ("6/13/\u0661\u0664 21:30", None), ("+6/13/14 21:30", None), ("6/13/14 -1:30", None),
+        ("6/13/14 21:30:+5", None), ("6/13/14 21:30: 5", None),
+    ])
+    def test_denver_stamp(self, tmp_path, stamp, time):
+        path = write_csv(tmp_path, DENVER_HEADER + f"1,larceny,{stamp},baker,1\n")
+        records, report = load_crime_csv(path, Schema.DENVER)
+        assert [r.time for r in records] == ([time] if time else [])
+        assert report.rejection_reasons == ({} if time else {"bad-datetime": 1})
+
+    @pytest.mark.parametrize("date, clock, reason", [
+        ("8/2_3/14", "2200", "bad-date"), ("\u0668/23/14", "2200", "bad-date"),
+        ("01/08/2020 12:00:xx AM", "2200", "bad-date"), ("01/08/2020 12:00:60 AM", "2200", "bad-date"),
+        ("01/08/2020 12:00:59 AM", "2200", None), ("8/23/14", "\uff12\uff12\uff10\uff10", "bad-time"),
+        ("8/23/14", "\u0668\u0660\u0660", "bad-time"), ("8/23/14", "22_0", "bad-time"),
+    ])
+    def test_la_date_and_time(self, tmp_path, date, clock, reason):
+        path = write_csv(tmp_path, LA_HEADER + f"1,BURGLARY,{date},{clock},Pacific\n")
+        records, report = load_crime_csv(path, Schema.LOS_ANGELES)
+        assert len(records) == (reason is None)
+        assert report.rejection_reasons == ({reason: 1} if reason else {})
+
+
+# Cell pools for the oracle comparison: good values, padded ones, and each
+# kind of bad value a reason is counted for.
+PAD = st.sampled_from(["", "", " ", "  ", "\t", "\u3000"])
+CATEGORIES = ["larceny", "Larceny", "THEFT  From\tCar", "", " ", "drug-alcohol"]
+LOCATIONS = ["Five Points", "five-points", "  FIVE    POINTS ", "", "\u00a0", "baker", "77th Street"]
+SLASH_DATES = ["6/13/14", "06/13/2014", "12/31/99", "2/30/14", "13/1/14", "6/1_3/14", "\uff16/13/14", "+6/13/14",
+               "0/1/14", "6/13/999", "6/13/14/1", "6//14", "1/1/99999999999", "6/13/14x", "6-13-14"]
+CLOCKS = ["21:30", "7:5", "0:00", "23:59", "21:30:00", "21:30:59", "21:30:60", "21:30:xx", "2:3_0", "24:00",
+          "21:30:5", "\uff12\uff11:30", "+7:05", "21", "21:30:00:00", "99999999999:00", "12:00:00"]
+ISO_STAMPS = ["2014-06-13", "2014-06-13 21:30", "2014-06-13T21:30:45", "2014-02-30", "20140613",
+              "2014-06-13 25:00", "2014-06-13T21:30:00+05:00", "2014-06-13  21:30"]
+SEPARATORS = [" ", " ", " ", "  ", "\t", "", "\u3000"]
+FLAGS = ["1", "0", "true", "YES", "no", "False", "maybe", "", "\u0661"]
+MILITARY = ["2200", "800", "30", "0030", "0", "2359", "2400", "2460", "abc", "", "\uff12\uff12\uff10\uff10",
+            "12345", "-100", "22_0", "+800"]
+LA_DATE_LAYOUTS = ["01/08/2020 12:00:00 AM", "01/08/2020 12:00:00 PM", "8/23/14 12:00 am", "8/23/14 noon",
+                   "01/08/2020 noon PM", "01/08/2020 12:00:xx AM", "01/08/2020 12:00:60 PM", "8/23/14 AM"]
+NOISE = st.text(st.sampled_from("0123456789/: -T\t\u0661\uff11aAmMpP"), max_size=12)
+
+
+def padded(values):
+    return st.tuples(PAD, st.sampled_from(values), PAD).map("".join)
+
+
+slash_stamps = st.tuples(*map(st.sampled_from, (SLASH_DATES, SEPARATORS, CLOCKS))).map("".join)
+denver_stamps = st.tuples(PAD, slash_stamps | padded(SLASH_DATES + ISO_STAMPS) | NOISE, PAD).map("".join)
+DENVER_CELLS = (padded(CATEGORIES), denver_stamps, padded(LOCATIONS), padded(FLAGS))
+la_dates = padded(SLASH_DATES + ISO_STAMPS + LA_DATE_LAYOUTS) | slash_stamps | NOISE
+LA_CELLS = (padded([c.upper() for c in CATEGORIES]), la_dates, padded(MILITARY) | NOISE, padded(LOCATIONS))
+
+
+@st.composite
+def crime_rows(draw, schema):
+    """One CSV row: an id, then the key cells in header order; sometimes cut
+    short, blank, or with an extra cell."""
+    row = [str(draw(st.integers(0, 99)))] + [draw(cell) for cell in (DENVER_CELLS if schema is Schema.DENVER
+                                                                       else LA_CELLS)]
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        return row[:draw(st.integers(0, 4))]
+    if kind == 1:
+        return [draw(PAD) for _ in row]
+    return row + ["extra"] if kind == 2 else row
+
+
+@settings(max_examples=400, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_loader_matches_the_per_row_oracle(tmp_path_factory, data):
+    """Same records (repr tells 1 from True) and same report as the per-row loader."""
+    schema = data.draw(st.sampled_from(Schema))
+    rows = data.draw(st.lists(crime_rows(schema), max_size=12))
+    path = tmp_path_factory.mktemp("oracle") / "crimes.csv"
+    header = (DENVER_HEADER if schema is Schema.DENVER else LA_HEADER).strip().split(",")
+    with open(path, "w", encoding="utf-8", newline="") as fp:
+        csv.writer(fp).writerows([header, *rows])
+    records, report = load_crime_csv(path, schema)
+    expected, expected_report = reference_load_crime_csv(path, schema)
+    assert repr(records) == repr(expected)
+    assert report.to_json_dict() == expected_report.to_json_dict()
+
+
+@pytest.mark.parametrize("schema, rows", [
+    (Schema.DENVER, ["larceny,6/13/14 21:30,baker,1", ",6/13/14 21:30,baker,1", "larceny,6/13/14 21:30, ,1",
+                     "larceny, ,baker,1", "larceny,6/31/14 21:30,baker,1", "larceny,6/13/14,baker,1",
+                     "larceny,6/13/14 21:30,baker,maybe", " , , , ", "larceny,6/13/14 21:30",
+                     " LARCENY , 6/13/14 21:30:59 , Five  Points , yes "]),
+    (Schema.LOS_ANGELES, ["BURGLARY,8/23/14,2200,Pacific", ",8/23/14,2200,Pacific", "BURGLARY,8/23/14,2200,",
+                          "BURGLARY,,2200,Pacific", "BURGLARY,8/32/14,2200,Pacific", "BURGLARY,8/23/14,,Pacific",
+                          "BURGLARY,8/23/14,2400,Pacific", ",,,", "BURGLARY,01/08/2020 12:00:00 AM,30,Pacific"]),
+])
+def test_every_reason_matches_the_per_row_oracle(tmp_path, schema, rows):
+    header = DENVER_HEADER if schema is Schema.DENVER else LA_HEADER
+    lines = [f"{i},{row}" if row.strip(" ,") else row for i, row in enumerate(rows)]  # a blank row has no id
+    path = write_csv(tmp_path, header + "\n".join(lines) + "\n")
+    records, report = load_crime_csv(path, schema)
+    expected, expected_report = reference_load_crime_csv(path, schema)
+    assert repr(records) == repr(expected) and len(records) == 2
+    assert report.to_json_dict() == expected_report.to_json_dict()
+    assert len(report.rejection_reasons) == 7  # every reason the schema counts, blank rows among them
 
 
 class TestNormalization:

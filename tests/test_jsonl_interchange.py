@@ -5,6 +5,7 @@ per record. The readers must give what one plain ``json.loads`` per line
 gives (``conftest.reference_read_*``): the same records, or the same error.
 """
 
+import datetime as dt
 import io
 import json
 from unittest import mock
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_read_raw_jsonl, reference_read_unified_jsonl
+from crimeminer import ingestion
 from crimeminer.ingestion import (
     RawCrimeRecord,
     raw_from_json_dict,
@@ -357,3 +359,78 @@ def test_a_file_of_many_blocks_reads_every_record():
     assert len({id(r.location) for r in got}) == 97  # one string per distinct location
     bad = text.replace('"place-5"', '" place-5"', 2000)
     assert outcome(read_unified_jsonl, bad, None) == outcome(read_unified_line_by_line, bad, None)
+
+
+# --- the raw reader's template path against its line-by-line path --------------
+
+def read_raw_line_by_line(fp):
+    return read_jsonl(fp, raw_from_json_dict, "raw")
+
+
+# Lines near a written raw line: each raw near miss, then values in a form the
+# template must not take (escapes, raw non-ASCII and control text, a
+# source_row of more than ten digits or with a leading zero, an out-of-range
+# date or clock, key order and spacing).
+RAW_TEXT = json.dumps(RAW, sort_keys=True)
+NEAR_RAW_LINES = [json.dumps({key: value for key, value in {**RAW, **changes}.items() if value is not MISSING},
+                             sort_keys=True)
+                  for kind, changes, _ in NEAR_MISSES if kind == "raw"]
+NEAR_RAW_LINES += [RAW_TEXT.replace(old, new) for old, new in [
+    ('"source_row": 7', '"source_row": 12345678901'), ('"source_row": 7', '"source_row": 1234567890'),
+    ('"source_row": 7', '"source_row": -7'), ('"source_row": 7', '"source_row": 07'),
+    ('"source_row": 7', '"source_row": -0'), ('"source_row": 7', '"source_row": ' + "9" * 5000),
+    ('"larceny"', '"l\\u0061rceny"'), ('"larceny"', '"caf\u00e9"'), ('"larceny"', '""'),
+    ('"larceny"', '"lar\\"ceny"'), ('"five-points"', '" five points "'), ('"five-points"', '"five\x7fpoints"'),
+    ('"2014-06-13"', '"2014-02-30"'), ('"2014-06-13"', '"0001-01-01"'), ('"21:30"', '"24:00"'),
+    ('"21:30"', '"21:60"'), ('"21:30"', 'null'), ('true', 'false'), ('true', 'null'), ('true', 'True'),
+    ('", "', '","'), ("}", "} "), ('{"category"', '{ "category"'),
+]]
+NEAR_RAW_LINES.append(json.dumps(RAW))  # keys in another order
+NEAR_RAW_LINES += named_cases(RAW)["joined-parse-counterexample"].splitlines()
+
+
+@st.composite
+def raw_files(draw):
+    """Written lines of generated records (escaped, non-ASCII and long-number
+    values among them), with blank and near-miss lines put in, each line
+    ended by LF, CRLF or CR, the last sometimes by nothing."""
+    lines = [written(write_raw_jsonl, [record]).rstrip("\n") for record in draw(st.lists(raw_records, max_size=12))]
+    for _ in range(draw(st.integers(0, 3))):
+        extra = draw(st.sampled_from(BLANKISH) | st.sampled_from(NEAR_RAW_LINES))
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    endings = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"])
+    text = "".join(line + draw(endings) for line in lines)
+    return text[:-1] if text.endswith("\n") and draw(st.booleans()) else text
+
+
+@pytest.mark.parametrize("newline", ["\n", None, ""], ids=["lf", "universal", "untranslated"])
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+@given(text=raw_files(), block_chars=st.integers(1, 800))
+def test_raw_template_read_matches_the_line_by_line_read(newline, text, block_chars):
+    """Same records or same error naming the same line, with blocks small
+    enough that a file spans several."""
+    with mock.patch.object(preprocess, "_BLOCK_CHARS", block_chars):
+        got = outcome(read_raw_jsonl, text, newline)
+    assert got == outcome(read_raw_line_by_line, text, newline)
+
+
+@pytest.mark.parametrize("newline", ["\n", None, ""], ids=["lf", "universal", "untranslated"])
+@pytest.mark.parametrize("line", NEAR_RAW_LINES)
+def test_each_near_raw_line_reads_as_line_by_line(newline, line):
+    text = f"{RAW_TEXT}\n{line}\n{RAW_TEXT}\n"
+    assert outcome(read_raw_jsonl, text, newline) == outcome(read_raw_line_by_line, text, newline)
+
+
+def test_a_raw_file_of_many_blocks_reads_every_record():
+    records = [RawCrimeRecord(f"type-{i % 13}", dt.date(2014, 1, 1) + dt.timedelta(days=i % 400),
+                              dt.time(i % 24, i % 60) if i % 5 else None, f"place-{i % 97}", [True, False, None][i % 3],
+                              i) for i in range(3000)]
+    text = written(write_raw_jsonl, records)
+    assert len(text) > 4 * preprocess._BLOCK_CHARS
+    with mock.patch.object(ingestion, "raw_from_json_dict", side_effect=AssertionError("line-by-line read")):
+        got = read_raw_jsonl(io.StringIO(text))
+    assert got == records
+    assert len({id(r.location_name) for r in got}) == 97  # one string per distinct location
+    assert len({id(r.offense_category) for r in got}) == 13
+    bad = text.replace('"place-5"', '"place-5\\u0020"', 2000)
+    assert outcome(read_raw_jsonl, bad, None) == outcome(read_raw_line_by_line, bad, None)

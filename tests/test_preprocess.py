@@ -26,14 +26,26 @@ from crimeminer.preprocess import (
     TypeMapping,
     UnifiedCrimeRecord,
     bin_time,
-    derive_temporal,
-    map_crime_type,
     preprocess_dataset,
     read_unified_jsonl,
     unified_from_json_dict,
     unified_to_json_dict,
     write_unified_jsonl,
 )
+
+
+def derive_temporal(when: dt.datetime) -> tuple[str, str, TimeBin, int]:
+    """Month name, weekday name, time bin, and year of a civil timestamp, by
+    the calendar alone: the per-record derivation ``preprocess_dataset`` memoises."""
+    return MONTH_NAMES[when.month - 1], WEEKDAY_NAMES[when.weekday()], bin_time(when.hour), when.year
+
+
+def map_crime_type(raw_category: str, mapping: TypeMapping) -> CrimeCategory:
+    """Exact lookup of a normalized raw category in the mapping."""
+    try:
+        return mapping.entries[raw_category]
+    except KeyError:
+        raise UnmappedCategoryError(raw_category) from None
 
 
 class TestBinTime:

@@ -80,3 +80,30 @@ def test_traced_train_and_evaluate_record_the_spans_the_benchmark_reads(tmp_path
     trains = named(f"classify.{kind}_train")
     for fold in folds:
         assert sum(fold.id in ancestors(t) for t in trains) == 1
+
+
+def test_traced_ingest_and_preprocess_record_the_spans_the_benchmark_reads(tmp_path):
+    from crimeminer import cli
+
+    rows = [("larceny", "6/13/14 21:30", "Five Points", "1"), ("traffic-accident", "6/13/14 9:05", "cbd", "0"),
+            ("burglary", "2014-06-14 23:45:10", "baker", "true"), ("larceny", "6/31/14 1:00", "cbd", "1")]
+    crimes = tmp_path / "crimes.csv"
+    crimes.write_text("INCIDENT_ID,OFFENSE_CATEGORY_ID,FIRST_OCCURRENCE_DATE,NEIGHBORHOOD_ID,IS_CRIME\n"
+                      + "".join(f"{i},{','.join(row)}\n" for i, row in enumerate(rows)), encoding="utf-8")
+    run = tracer.Tracer("test")
+    calls = [
+        ["ingest", "--schema", "denver", "--input", str(crimes), "--output", str(tmp_path / "raw.jsonl"),
+         "--report", str(tmp_path / "ingest.json")],
+        ["preprocess", "--schema", "denver", "--input", str(tmp_path / "raw.jsonl"),
+         "--output", str(tmp_path / "unified.jsonl"), "--report", str(tmp_path / "preprocess.json")],
+    ]
+    with run.instrument():
+        for argv in calls:
+            with run.span("cli.main", stage=argv[0]):
+                assert cli.main(argv) == 0
+
+    spanned = {s.name for s in run.spans}
+    assert spanned >= {"ingestion.load_crime_csv", "ingestion.filter_crimes", "ingestion.write_raw_jsonl",
+                       "ingestion.read_raw_jsonl", "preprocess.preprocess_dataset",
+                       "preprocess.write_unified_jsonl"}
+    assert (tmp_path / "unified.jsonl").read_text(encoding="utf-8").count("\n") == 2
