@@ -23,7 +23,7 @@ from itertools import combinations, groupby
 from operator import itemgetter
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence, TextIO
 
-from .errors import EmptyTransactionListError
+from .errors import CrimeMinerError
 from .vocab import TIME_RANK, WEEKDAY_RANK, UnifiedCrimeRecord, round_half_up
 
 Item = Hashable
@@ -73,7 +73,7 @@ def support(itemset: Iterable[Item], transactions: Sequence[frozenset]) -> tuple
     if not items:
         raise ValueError("itemset must be nonempty")
     if not transactions:
-        raise EmptyTransactionListError("support is undefined over zero transactions")
+        raise CrimeMinerError("support is undefined over zero transactions")
     count = sum(1 for t in transactions if items <= t)
     return count / len(transactions), count
 
@@ -137,7 +137,7 @@ def mine_frequent(
     when the item vocabulary is much smaller than the transaction list).
     """
     if not transactions:
-        raise EmptyTransactionListError("cannot mine zero transactions")
+        raise CrimeMinerError("cannot mine zero transactions")
     if not 0 < min_sup <= 1:
         raise ValueError(f"min_sup must be in (0, 1], got {min_sup}")
     n = len(transactions)

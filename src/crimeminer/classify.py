@@ -24,7 +24,7 @@ from itertools import compress
 from operator import attrgetter, sub
 from typing import Hashable, Mapping, NamedTuple, Sequence, TextIO, Union
 
-from .errors import AllZeroCountsError, DatasetTooSmallError, EmptyTrainingSetError
+from .errors import CrimeMinerError
 from .vocab import (
     ATTRIBUTES, MONTH_RANK, TIME_BIN_ORDER, WEEKDAY_RANK, CrimeCategory, TimeBin,
     UnifiedCrimeRecord,
@@ -100,7 +100,7 @@ def split_train_test(dataset: Sequence, spec: SplitSpec) -> tuple[list, list]:
     """
     n = len(dataset)
     if n < 2:
-        raise DatasetTooSmallError(f"need at least 2 records to split, got {n}")
+        raise CrimeMinerError(f"need at least 2 records to split, got {n}")
     indices = seeded_permutation(n, spec.seed)
     n_train = math.floor(spec.train_fraction * n + 0.5)
     train_indices = sorted(indices[:n_train])
@@ -221,7 +221,7 @@ def _log(x: float) -> float:
 
 def nb_train(train: Dataset | Sequence[UnifiedCrimeRecord], alpha: float = 1.0) -> NaiveBayesModel:
     if not train:
-        raise EmptyTrainingSetError("cannot train Naive Bayes on an empty set")
+        raise CrimeMinerError("cannot train Naive Bayes on an empty set")
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     data = as_dataset(train)
@@ -308,7 +308,7 @@ def entropy(label_counts: Mapping[Hashable, int]) -> float:
         raise ValueError("counts must be non-negative")
     total = sum(label_counts.values())
     if total == 0:
-        raise AllZeroCountsError("entropy of an empty distribution is undefined")
+        raise CrimeMinerError("entropy of an empty distribution is undefined")
     from .growth import XLog2X
     return XLog2X().weighted_entropy(label_counts.values(), total) / total
 
@@ -359,7 +359,7 @@ def dt_train(train: Dataset | Sequence[UnifiedCrimeRecord], max_leaves: int = 10
     or no split has positive gain. Equal gains go to the earlier-created leaf.
     """
     if not train:
-        raise EmptyTrainingSetError("cannot train a decision tree on an empty set")
+        raise CrimeMinerError("cannot train a decision tree on an empty set")
     if max_leaves < 2:
         raise ValueError(f"max_leaves must be >= 2, got {max_leaves}")
     from .growth import grow  # loaded here: ``predict`` never trains
@@ -393,8 +393,18 @@ def _dump_log(value: float):
     return None if value == -math.inf else value
 
 
+def _field(value, *kinds):
+    """A saved model's ``value``, which must be of one of ``kinds``, the JSON
+    types ``save_model`` writes there: a bool or a string never stands in for a number."""
+    if type(value) not in kinds:
+        raise ValueError(f"expected {' or '.join(kind.__name__ for kind in kinds)}, got {value!r}")
+    return value
+
+
 def _load_log(value) -> float:
-    return -math.inf if value is None else float(value)
+    if type(value) is float:  # most values: one type test, as every ``predict`` loads them all
+        return value
+    return -math.inf if value is None else float(_field(value, float, int))
 
 
 def nb_to_json_dict(model: NaiveBayesModel) -> dict:
@@ -421,14 +431,14 @@ def nb_to_json_dict(model: NaiveBayesModel) -> dict:
 def nb_from_json_dict(obj: Mapping) -> NaiveBayesModel:
     if obj.get("schema") != NB_SCHEMA:
         raise ValueError(f"expected schema {NB_SCHEMA!r}, got {obj.get('schema')!r}")
-    classes = tuple(CrimeCategory(i) for i in obj["classes"])
+    classes = tuple(CrimeCategory(_field(i, int)) for i in obj["classes"])
     if not classes or len(set(classes)) != len(classes):
         raise ValueError(f"classes must be distinct and non-empty, got {obj['classes']!r}")
     return NaiveBayesModel(
-        alpha=float(obj["alpha"]),
+        alpha=float(_field(obj["alpha"], float, int)),
         classes=classes,
         log_prior={c: _load_log(obj["log_prior"][str(int(c))]) for c in classes},
-        vocab={f: tuple(obj["vocab"][f]) for f in FEATURES},
+        vocab={f: tuple(_field(v, str) for v in obj["vocab"][f]) for f in FEATURES},
         cond_log={
             f: {
                 c: {v: _load_log(p) for v, p in obj["cond_log"][f][str(int(c))].items()}
@@ -460,16 +470,21 @@ def _dt_node_to_json(node: TreeSplit | TreeLeaf) -> dict:
     }
 
 
+_CLASS_KEYS = {str(int(c)): c for c in CLASSES}  # the key each class is written under
+
+
 def _dt_node_from_json(obj: Mapping) -> TreeSplit | TreeLeaf:
     if obj["kind"] == "leaf":
-        counts = {CrimeCategory(int(k)): int(v) for k, v in obj["counts"].items()}
-        return TreeLeaf(counts=counts, majority=CrimeCategory(int(obj["class"])))
+        counts = {_CLASS_KEYS[k]: _field(v, int) for k, v in obj["counts"].items()}
+        return TreeLeaf(counts=counts, majority=CrimeCategory(_field(obj["class"], int)))
+    if obj["kind"] != "split":
+        raise ValueError(f"unknown node kind {obj['kind']!r}")
     if obj["feature"] not in FEATURES:
         raise ValueError(f"unknown split feature {obj['feature']!r}")
     return TreeSplit(
         feature=obj["feature"],
-        value=obj["value"],
-        gain=float(obj["gain"]),
+        value=_field(obj["value"], str),
+        gain=float(_field(obj["gain"], float, int)),
         if_true=_dt_node_from_json(obj["true"]),
         if_false=_dt_node_from_json(obj["false"]),
     )
@@ -482,7 +497,7 @@ def dt_to_json_dict(tree: DecisionTree) -> dict:
 def dt_from_json_dict(obj: Mapping) -> DecisionTree:
     if obj.get("schema") != DT_SCHEMA:
         raise ValueError(f"expected schema {DT_SCHEMA!r}, got {obj.get('schema')!r}")
-    return DecisionTree(root=_dt_node_from_json(obj["root"]), max_leaves=int(obj["max_leaves"]))
+    return DecisionTree(root=_dt_node_from_json(obj["root"]), max_leaves=_field(obj["max_leaves"], int))
 
 
 def save_model(model: NaiveBayesModel | DecisionTree, fp: TextIO) -> None:
@@ -492,7 +507,8 @@ def save_model(model: NaiveBayesModel | DecisionTree, fp: TextIO) -> None:
 
 
 def load_model(fp: TextIO) -> NaiveBayesModel | DecisionTree:
-    """Read a saved model; any malformed content raises ``ValueError``."""
+    """Read a saved model; any malformed content raises ``ValueError``. Each
+    value must have the JSON type ``save_model`` writes there."""
     text = fp.read()  # undecodable bytes raise UnicodeDecodeError for the caller to name the file
     try:
         obj = json.loads(text)
@@ -503,5 +519,5 @@ def load_model(fp: TextIO) -> NaiveBayesModel | DecisionTree:
         raise ValueError(f"unknown model schema {schema!r}")
     try:
         return nb_from_json_dict(obj) if schema == NB_SCHEMA else dt_from_json_dict(obj)
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed {schema} model: {type(exc).__name__}: {exc}") from None

@@ -13,7 +13,7 @@ import json
 from collections import Counter
 from typing import Mapping, NamedTuple, Sequence, TextIO
 
-from .errors import EmptyDatasetError, GroupSelectionError, UnmatchedNeighborhoodError
+from .errors import CrimeMinerError, UnmatchedNeighborhoodError
 from .ingestion import DemographicsRecord
 from .vocab import UnifiedCrimeRecord
 
@@ -27,7 +27,7 @@ class NeighborhoodCrimeRate(NamedTuple):
 def crime_rate_by_location(dataset: Sequence[UnifiedCrimeRecord]) -> list[NeighborhoodCrimeRate]:
     """Per-location crime counts and shares, descending with alphabetical ties."""
     if not dataset:
-        raise EmptyDatasetError("cannot rank locations of an empty dataset")
+        raise CrimeMinerError("cannot rank locations of an empty dataset")
     counts = Counter(r.location for r in dataset)
     total = len(dataset)
     return [
@@ -63,9 +63,9 @@ def compare_groups(
     demographics table is a hard error with a nearest-name suggestion.
     """
     if top_k < 1 or bottom_k < 1:
-        raise GroupSelectionError("group sizes must be at least 1")
+        raise CrimeMinerError("group sizes must be at least 1")
     if top_k + bottom_k > len(rates):
-        raise GroupSelectionError(
+        raise CrimeMinerError(
             f"cannot pick {top_k}+{bottom_k} neighborhoods out of {len(rates)} ranked"
         )
     by_name = {record.neighborhood: record for record in demographics}

@@ -1,80 +1,14 @@
-"""Exception types shared across the toolkit.
+"""The toolkit's error types.
 
-All data-level failures derive from :class:`CrimeMinerError` so the CLI can
-map them to a single exit code.
+Data the program cannot use raises :class:`CrimeMinerError`; the CLI prints
+its message as the one ``error:`` line and exits 2. Only the demographics
+stage needs more: it catches :class:`UnmatchedNeighborhoodError` to add the
+rejected-rows warning to the message.
 """
 
 
 class CrimeMinerError(Exception):
-    """Base class for all toolkit errors."""
-
-
-class FileUnreadableError(CrimeMinerError):
-    """An input file could not be opened or read."""
-
-
-class MissingColumnError(CrimeMinerError):
-    """A required column is absent from a CSV header."""
-
-
-class DuplicateNeighborhoodError(CrimeMinerError):
-    """The same neighborhood key appears twice in a demographics file."""
-
-
-class OutOfRangeError(CrimeMinerError):
-    """A numeric argument fell outside its documented range."""
-
-
-class UnmappedCategoryError(CrimeMinerError):
-    """A raw offense category has no entry in the active type mapping."""
-
-    def __init__(self, category: str):
-        super().__init__(f"offense category {category!r} has no type mapping")
-        self.category = category
-
-
-class RejectionThresholdError(CrimeMinerError):
-    """Preprocessing rejected more rows than the configured tolerance."""
-
-
-class EmptyDatasetError(CrimeMinerError):
-    """An operation that needs records received none."""
-
-
-class InsufficientLocationsError(CrimeMinerError):
-    """Fewer distinct locations than the requested top/middle/bottom picks."""
-
-
-class EmptyTransactionListError(CrimeMinerError):
-    """Frequent-itemset mining received no transactions."""
-
-
-class DatasetTooSmallError(CrimeMinerError):
-    """Too few records to split into train and test sets."""
-
-
-class EmptyTrainingSetError(CrimeMinerError):
-    """Classifier training received no records."""
-
-
-class AllZeroCountsError(CrimeMinerError):
-    """Entropy of a distribution with no observations is undefined."""
-
-
-class LengthMismatchError(CrimeMinerError):
-    """Actual and predicted label lists differ in length."""
-
-
-class EmptyInputError(CrimeMinerError):
-    """A confusion matrix needs at least one (actual, predicted) pair."""
-
-
-class EmptyMatrixError(CrimeMinerError):
-    """Metrics over a confusion matrix with zero total are undefined."""
-
-
-class TooFewRecordsError(CrimeMinerError):
-    """Cross-validation needs at least as many records as folds."""
+    """Input data, or a value derived from it, that the program cannot use."""
 
 
 class UnmatchedNeighborhoodError(CrimeMinerError):
@@ -85,7 +19,3 @@ class UnmatchedNeighborhoodError(CrimeMinerError):
         super().__init__(f"neighborhood {name!r} not found in demographics{hint}")
         self.name = name
         self.suggestion = suggestion
-
-
-class GroupSelectionError(CrimeMinerError):
-    """Dangerous/safe group sizes exceed the number of ranked neighborhoods."""

@@ -12,12 +12,7 @@ from .classify import (
     CLASS_INDEX, CLASSES, FEATURES, Dataset, DecisionTree, NaiveBayesModel, TreeLeaf, as_dataset,
     fit_model, histogram_minus, seeded_permutation,
 )
-from .errors import (
-    EmptyInputError,
-    EmptyMatrixError,
-    LengthMismatchError,
-    TooFewRecordsError,
-)
+from .errors import CrimeMinerError
 from .vocab import CrimeCategory, UnifiedCrimeRecord, round_half_up
 
 # Records to score or train on: a ``Dataset`` or a list, encoded once on entry.
@@ -45,7 +40,7 @@ class ConfusionMatrix(NamedTuple):
         predicted: Sequence[CrimeCategory],
     ) -> "ConfusionMatrix":
         if len(actual) != len(predicted):
-            raise LengthMismatchError(
+            raise CrimeMinerError(
                 f"{len(actual)} actual labels vs {len(predicted)} predictions"
             )
         return cls.from_counts(Counter((int(a) - 1, int(p) - 1) for a, p in zip(actual, predicted)))
@@ -54,7 +49,7 @@ class ConfusionMatrix(NamedTuple):
     def from_counts(cls, pairs: Mapping[tuple[int, int], int]) -> "ConfusionMatrix":
         """From counts of (actual, predicted) pairs of indices into ``CLASSES``."""
         if not pairs:
-            raise EmptyInputError("cannot build a confusion matrix from zero pairs")
+            raise CrimeMinerError("cannot build a confusion matrix from zero pairs")
         counts = [[0] * len(CLASSES) for _ in CLASSES]
         for (a, p), n in pairs.items():
             counts[a][p] += n
@@ -97,7 +92,7 @@ def classification_report(matrix: ConfusionMatrix) -> EvaluationReport:
     """
     total = matrix.total
     if total == 0:
-        raise EmptyMatrixError("all confusion matrix cells are zero")
+        raise CrimeMinerError("all confusion matrix cells are zero")
     rows = matrix.row_sums()
     cols = matrix.col_sums()
     per_class: dict[CrimeCategory, ClassMetrics] = {}
@@ -235,7 +230,7 @@ def cross_validate(
         raise ValueError(f"model_kind must be 'nb' or 'dt', got {model_kind!r}")
     n = len(dataset)
     if n < k:
-        raise TooFewRecordsError(f"{n} records cannot fill {k} folds")
+        raise CrimeMinerError(f"{n} records cannot fill {k} folds")
     folds = make_fold_indices(n, k, seed)
     data = as_dataset(dataset)
     # Each fold is counted once. The whole histogram is their sum, and a

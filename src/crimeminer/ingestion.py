@@ -17,11 +17,7 @@ from itertools import repeat
 from operator import itemgetter, methodcaller
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
-from .errors import (
-    DuplicateNeighborhoodError,
-    FileUnreadableError,
-    MissingColumnError,
-)
+from .errors import CrimeMinerError
 from .vocab import Schema, normalize_category, normalize_location
 
 # Key columns per schema; everything else in the file is discarded.
@@ -151,7 +147,7 @@ def _column_positions(header: Sequence[str], required: Sequence[str]) -> list[in
     positions = {name.strip().lower(): i for i, name in enumerate(header)}
     missing = [name for name in required if name.strip().lower() not in positions]
     if missing:
-        raise MissingColumnError(f"header is missing required column(s): {', '.join(missing)}")
+        raise CrimeMinerError(f"header is missing required column(s): {', '.join(missing)}")
     return [positions[name.strip().lower()] for name in required]
 
 
@@ -165,18 +161,18 @@ def _csv_rows(path, required: Sequence[str], report: IngestReport) -> Iterator[t
     ``cells`` are the unstripped values of the ``required`` columns in order,
     ``""`` past the row's end. Rows read and blank rows are counted in
     ``report``; the caller accepts or rejects every row yielded. Bytes that
-    are not UTF-8, or a cell over the field limit, raise ``FileUnreadableError``.
+    are not UTF-8, or a cell over the field limit, raise ``CrimeMinerError``.
     """
     try:
         fp = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
-        raise FileUnreadableError(f"cannot read {path}: {exc}") from exc
+        raise CrimeMinerError(f"cannot read {path}: {exc}") from exc
     with fp:
         reader = csv.reader(fp)
         try:
             header = next(reader, None)
             if header is None:
-                raise MissingColumnError(f"{path}: file is empty, no header row")
+                raise CrimeMinerError(f"{path}: file is empty, no header row")
             positions = _column_positions(header, required)
             width = max(positions) + 1
             key_cells = itemgetter(*positions)
@@ -188,9 +184,9 @@ def _csv_rows(path, required: Sequence[str], report: IngestReport) -> Iterator[t
                 row += [""] * (width - len(row))
                 yield row_number, key_cells(row)
         except csv.Error as exc:
-            raise FileUnreadableError(f"cannot read {path}: line {reader.line_num}: {exc}") from None
+            raise CrimeMinerError(f"cannot read {path}: line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
-            raise FileUnreadableError(f"cannot read {path}: not UTF-8 text: {exc.reason}") from None
+            raise CrimeMinerError(f"cannot read {path}: not UTF-8 text: {exc.reason}") from None
 
 
 _new = tuple.__new__  # builds a record as RawCrimeRecord._make does, without a Python frame
@@ -431,10 +427,11 @@ class DemographicsRecord(NamedTuple):
 
 
 def _count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise _Rejected("bad-count") from None
+    """A count cell: an optional ``-`` and ASCII digits, else ``bad-count``."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise _Rejected("bad-count")
+    value = int(text)
     if value < 0:
         raise _Rejected("negative-count")
     return value
@@ -461,7 +458,7 @@ def load_demographics_csv(
                 raise _Rejected("missing-neighborhood")
             name = normalize_location(cells[0])
             if name in seen:
-                raise DuplicateNeighborhoodError(f"neighborhood {name!r} appears more than once")
+                raise CrimeMinerError(f"neighborhood {name!r} appears more than once")
             metrics = dict(zip(columns.metrics, [_count(cell) for cell in cells[1:]]))
             if metrics["occupied_units"] + metrics["vacant_units"] != metrics["housing_units_total"]:
                 raise _Rejected("unit-sum-mismatch")

@@ -15,7 +15,7 @@ from itertools import repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO
 
-from .errors import RejectionThresholdError
+from .errors import CrimeMinerError
 from .vocab import (  # noqa: F401 -- also re-exported for existing importers
     HOUR_BINS, MONTH_NAMES, MONTH_RANK, TIME_BIN_ORDER, WEEKDAY_NAMES, WEEKDAY_RANK, CrimeCategory, Schema,
     TimeBin, UnifiedCrimeRecord, bin_time, normalize_category,
@@ -120,7 +120,7 @@ def preprocess_dataset(
     if report.rows_in and report.rows_rejected / report.rows_in > max_reject_fraction:
         worst = sorted(report.rejected_categories.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
         detail = ", ".join(f"{cat!r} x{n}" for cat, n in worst) or "no category detail"
-        raise RejectionThresholdError(
+        raise CrimeMinerError(
             f"rejected {report.rows_rejected}/{report.rows_in} records "
             f"(> {max_reject_fraction:.2%} allowed); top unmapped: {detail}"
         )
@@ -198,20 +198,6 @@ def write_unified_jsonl(records: Iterable[UnifiedCrimeRecord], fp: TextIO) -> No
                                    _LABELS[r.crime_type], r.crime_type, r.year) for r in records)
 
 
-_scan_once = json.decoder.JSONDecoder().scan_once
-
-
-def json_line(line: str):
-    """``json.loads(line)``: the value, or the same error. A line holding one
-    value and at most its newline takes one pass of the C scanner; any other
-    (leading whitespace, trailing data, no value) takes ``json.loads``."""
-    try:
-        value, end = _scan_once(line, 0)
-    except StopIteration:
-        return json.loads(line)
-    return value if end == len(line) or line[end:] == "\n" else json.loads(line)
-
-
 def read_jsonl(lines: Iterable[str], decode: Callable[[object], object], kind: str,
                first_line: int = 1) -> list:
     """``decode`` of the value on each non-blank line, in order; a line that
@@ -222,7 +208,7 @@ def read_jsonl(lines: Iterable[str], decode: Callable[[object], object], kind: s
         if not line.strip():
             continue
         try:
-            records.append(decode(json_line(line)))
+            records.append(decode(json.loads(line)))
         except (AttributeError, KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise ValueError(f"bad {kind} record on line {line_number}: {exc}") from exc
     return records

@@ -11,7 +11,7 @@ import csv
 from collections import Counter
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
-from .errors import InsufficientLocationsError
+from .errors import CrimeMinerError
 from .vocab import ATTRIBUTES, UnifiedCrimeRecord, round_half_up
 
 CATEGORICAL_ATTRIBUTES = tuple(ATTRIBUTES)
@@ -143,7 +143,7 @@ def top_and_bottom_locations(
     ranking = frequency_table(dataset, "location")
     n = len(ranking.rows)
     if top_k + bottom_k + middle_k > n:
-        raise InsufficientLocationsError(
+        raise CrimeMinerError(
             f"requested {top_k}+{middle_k}+{bottom_k} locations but only {n} are distinct"
         )
     start = (n - middle_k) // 2 + 1  # 1-based rank of the first middle pick

@@ -11,7 +11,7 @@ from enum import Enum, IntEnum
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
-from .errors import OutOfRangeError
+from .errors import CrimeMinerError
 
 _WHITESPACE_RUN = re.compile(r"\s+")
 _HYPHEN_RUN = re.compile(r"-{2,}")
@@ -92,7 +92,7 @@ HOUR_BINS = tuple(TIME_BIN_ORDER[(hour - 1) // 4] if 0 < hour < 21 else TimeBin.
 def bin_time(hour: int) -> TimeBin:
     """Map an hour of day (0-23) to its four-hour bin; hour 0 belongs to T6."""
     if not isinstance(hour, int) or not 0 <= hour <= 23:
-        raise OutOfRangeError(f"hour must be an integer in 0..23, got {hour!r}")
+        raise CrimeMinerError(f"hour must be an integer in 0..23, got {hour!r}")
     return HOUR_BINS[hour]
 
 

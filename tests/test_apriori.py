@@ -21,7 +21,7 @@ from crimeminer.apriori import (
     support,
     write_patterns_csv,
 )
-from crimeminer.errors import EmptyTransactionListError
+from crimeminer.errors import CrimeMinerError
 from crimeminer.vocab import WEEKDAY_NAMES
 
 ABC = [frozenset("abc"), frozenset("ab"), frozenset("ac"), frozenset("bc"), frozenset("abc")]
@@ -44,7 +44,7 @@ class TestSupport:
             support(set(), ABC)
 
     def test_empty_transactions_rejected(self):
-        with pytest.raises(EmptyTransactionListError):
+        with pytest.raises(CrimeMinerError, match="support is undefined over zero transactions"):
             support({"a"}, [])
 
 
@@ -78,7 +78,7 @@ class TestMineFrequent:
         assert all(count == 0 for count in run.levels.values())
 
     def test_rejects_empty_and_bad_min_sup(self):
-        with pytest.raises(EmptyTransactionListError):
+        with pytest.raises(CrimeMinerError, match="cannot mine zero transactions"):
             mine_frequent([], 0.5)
         with pytest.raises(ValueError):
             mine_frequent(ABC, 0.0)

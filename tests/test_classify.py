@@ -40,11 +40,7 @@ from crimeminer.classify import (
     seeded_permutation,
     split_train_test,
 )
-from crimeminer.errors import (
-    AllZeroCountsError,
-    DatasetTooSmallError,
-    EmptyTrainingSetError,
-)
+from crimeminer.errors import CrimeMinerError
 from crimeminer.growth import XLog2X, best_split
 from crimeminer.preprocess import MONTH_NAMES, CrimeCategory, TimeBin
 
@@ -80,7 +76,7 @@ class TestSplit:
         assert (len(train), len(test)) == (2, 1)
 
     def test_too_small(self):
-        with pytest.raises(DatasetTooSmallError):
+        with pytest.raises(CrimeMinerError, match="need at least 2 records to split, got 1"):
             split_train_test([make_record()], SplitSpec())
 
     def test_fraction_bounds(self):
@@ -127,7 +123,7 @@ class TestNaiveBayesTraining:
                 assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_training_set(self):
-        with pytest.raises(EmptyTrainingSetError):
+        with pytest.raises(CrimeMinerError, match="cannot train Naive Bayes on an empty set"):
             nb_train([])
 
     def test_negative_alpha_rejected(self):
@@ -209,7 +205,7 @@ class TestEntropy:
         assert entropy({"A": 3, "B": 1}) == pytest.approx(0.8113, abs=1e-4)
 
     def test_all_zero(self):
-        with pytest.raises(AllZeroCountsError):
+        with pytest.raises(CrimeMinerError, match="entropy of an empty distribution is undefined"):
             entropy({"A": 0, "B": 0})
 
     def test_negative_rejected(self):
@@ -280,7 +276,7 @@ class TestDecisionTree:
             dt_train(rule_dataset(), max_leaves=1)
 
     def test_empty_training_set(self):
-        with pytest.raises(EmptyTrainingSetError):
+        with pytest.raises(CrimeMinerError, match="cannot train a decision tree on an empty set"):
             dt_train([])
 
     def test_every_split_has_positive_gain_and_weighted_children_entropy_drops(self):

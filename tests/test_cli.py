@@ -1,6 +1,7 @@
 """Command-line pipeline: wiring, exit codes, determinism, config precedence."""
 
 import contextlib
+import copy
 import io
 import json
 import os
@@ -27,6 +28,7 @@ DEFAULT_COLUMNS = json.loads((SRC / "crimeminer" / "data" / "demographics_column
 MISSPELLED_COLUMNS = {**{k: v for k, v in DEFAULT_COLUMNS.items() if k != "age_brackets"},
                       "age_bracket": DEFAULT_COLUMNS["age_brackets"]}
 NB_MODEL = classify.nb_to_json_dict(classify.nb_train(generate_synthetic_dataset()[:100]))
+DT_MODEL = classify.dt_to_json_dict(classify.dt_train(generate_synthetic_dataset()[:100], max_leaves=4))
 CSV_HEADER = "INCIDENT_ID,OFFENSE_CATEGORY_ID,FIRST_OCCURRENCE_DATE,NEIGHBORHOOD_ID,IS_CRIME\n"
 INGEST_ARGV = ["ingest", "--schema", "denver", "--input", "side.json"]
 COLUMNS_ARGV = ["demographics", "--dataset", "unified.jsonl", "--demographics", "demo.csv",
@@ -545,6 +547,58 @@ class TestExitCodes:
                      "--time", "T6", "--location", "cbd"])
         assert code == 2
         assert str(path) in assert_one_line_error(capsys, "error: ")
+
+
+def first_node(node: dict, kind: str) -> dict:
+    """The first node of ``kind`` down the true branches of a saved tree."""
+    return node if node["kind"] == kind else first_node(node["true"], kind)
+
+
+def first_count(model: dict) -> dict:
+    """The counts of a saved tree's first leaf, with one class key."""
+    return first_node(model["root"], "leaf")["counts"]
+
+
+class TestModelValueTypes:
+    """``predict`` loads exactly the JSON types that ``train`` writes."""
+
+    @pytest.mark.parametrize("schema, edit", [
+        pytest.param("dt-v1", lambda m: m.update(max_leaves=10.9), id="max-leaves-float"),
+        pytest.param("dt-v1", lambda m: m.update(max_leaves=True), id="max-leaves-bool"),
+        pytest.param("dt-v1", lambda m: first_node(m["root"], "split").update(gain="0.5"), id="gain-string"),
+        pytest.param("dt-v1", lambda m: first_node(m["root"], "split").update(gain=10 ** 400), id="gain-overflow"),
+        pytest.param("dt-v1", lambda m: first_node(m["root"], "leaf").update({"class": True}), id="class-bool"),
+        pytest.param("dt-v1", lambda m: first_node(m["root"], "leaf").update({"class": 5.0}), id="class-float"),
+        pytest.param("dt-v1", lambda m: first_count(m).update(dict.fromkeys(first_count(m), "3")), id="count-string"),
+        pytest.param("dt-v1", lambda m: first_count(m).update(dict.fromkeys(first_count(m), 2.7)), id="count-float"),
+        pytest.param("dt-v1", lambda m: first_node(m["root"], "leaf").update(counts={"01": 3}), id="count-key-padded"),
+        pytest.param("dt-v1", lambda m: first_node(m["root"], "split").update(value=5), id="value-int"),
+        pytest.param("dt-v1", lambda m: first_node(m["root"], "split").update(kind="leef"), id="kind-typo"),
+        pytest.param("nb-v1", lambda m: m.update(alpha="1.0"), id="alpha-string"),
+        pytest.param("nb-v1", lambda m: m.update(alpha=True), id="alpha-bool"),
+        pytest.param("nb-v1", lambda m: m["classes"].__setitem__(0, True), id="classes-bool"),
+        pytest.param("nb-v1", lambda m: m["log_prior"].update({"1": "-1.5"}), id="log-prior-string"),
+        pytest.param("nb-v1", lambda m: m["log_prior"].update({"1": False}), id="log-prior-bool"),
+        pytest.param("nb-v1", lambda m: m["cond_log"]["day"]["2"].update(Friday="-2"), id="cond-log-string"),
+        pytest.param("nb-v1", lambda m: m["unseen_log"]["location"].update({"3": True}), id="unseen-log-bool"),
+        pytest.param("nb-v1", lambda m: m["vocab"]["location"].append(7), id="vocab-int"),
+    ])
+    def test_a_mistyped_value_is_a_one_line_data_error(self, tmp_path, capsys, schema, edit):
+        model = copy.deepcopy(NB_MODEL if schema == "nb-v1" else DT_MODEL)
+        edit(model)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model), encoding="utf-8")
+        code = main(["predict", "--model", str(path), "--month", "June", "--day", "Friday",
+                     "--time", "T6", "--location", "cbd"])
+        assert code == 2
+        assert f"{path}: malformed {schema} model: " in assert_one_line_error(capsys, "error: ")
+
+    @pytest.mark.parametrize("model", [NB_MODEL, DT_MODEL], ids=["nb", "dt"])
+    def test_the_written_types_load(self, tmp_path, model):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model), encoding="utf-8")
+        assert main(["predict", "--model", str(path), "--month", "June", "--day", "Friday",
+                     "--time", "T6", "--location", "cbd", "--output", str(tmp_path / "p.json")]) == 0
 
 
 class TestWholeOutputs:

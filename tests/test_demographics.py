@@ -15,11 +15,7 @@ from crimeminer.demographics import (
     write_comparison_csv,
     write_comparison_json,
 )
-from crimeminer.errors import (
-    EmptyDatasetError,
-    GroupSelectionError,
-    UnmatchedNeighborhoodError,
-)
+from crimeminer.errors import CrimeMinerError, UnmatchedNeighborhoodError
 from crimeminer.ingestion import DemographicsColumns, DemographicsRecord, load_demographics_csv
 
 
@@ -55,7 +51,7 @@ class TestCrimeRateByLocation:
         assert rates == [type(rates[0])("solo", 1, 1.0)]
 
     def test_empty_dataset(self):
-        with pytest.raises(EmptyDatasetError):
+        with pytest.raises(CrimeMinerError, match="cannot rank locations of an empty dataset"):
             crime_rate_by_location([])
 
     @given(datasets)
@@ -124,7 +120,7 @@ class TestCompareGroups:
 
     def test_oversized_groups_rejected(self):
         dataset, demographics = six_neighborhood_setup()
-        with pytest.raises(GroupSelectionError):
+        with pytest.raises(CrimeMinerError, match=r"cannot pick 4\+3 neighborhoods out of 6 ranked"):
             compare_groups(crime_rate_by_location(dataset), demographics, top_k=4, bottom_k=3)
 
     def test_extra_columns_are_echoed_into_metrics(self):

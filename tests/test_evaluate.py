@@ -21,12 +21,7 @@ from crimeminer.classify import (
     seeded_permutation,
     split_train_test,
 )
-from crimeminer.errors import (
-    EmptyInputError,
-    EmptyMatrixError,
-    LengthMismatchError,
-    TooFewRecordsError,
-)
+from crimeminer.errors import CrimeMinerError
 from crimeminer.evaluate import (
     ConfusionMatrix,
     CrossValidationResult,
@@ -81,11 +76,11 @@ class TestConfusionMatrix:
         assert first == second
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(CrimeMinerError, match="1 actual labels vs 2 predictions"):
             ConfusionMatrix.from_pairs([A], [A, TH])
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(CrimeMinerError, match="cannot build a confusion matrix from zero pairs"):
             ConfusionMatrix.from_pairs([], [])
 
 
@@ -126,7 +121,7 @@ class TestClassificationReport:
         assert report.accuracy == pytest.approx(7 / 10)
 
     def test_empty_matrix_rejected(self):
-        with pytest.raises(EmptyMatrixError):
+        with pytest.raises(CrimeMinerError, match="all confusion matrix cells are zero"):
             classification_report(ConfusionMatrix(cells=tuple((0,) * 6 for _ in range(6))))
 
     def test_f1_zero_when_either_rate_is_zero(self):
@@ -212,7 +207,7 @@ class TestCrossValidation:
         assert sha256_of(write_cv_result_json, result) == sha256_of(write_cv_result_json, expected)
 
     def test_too_few_records(self):
-        with pytest.raises(TooFewRecordsError):
+        with pytest.raises(CrimeMinerError, match="3 records cannot fill 5 folds"):
             cross_validate([make_record()] * 3, "nb", k=5)
 
     def test_bad_parameters(self):

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import LOCATIONS, datasets, make_record
-from crimeminer.errors import InsufficientLocationsError
+from crimeminer.errors import CrimeMinerError
 from crimeminer.preprocess import CrimeCategory
 from crimeminer.stats import (
     crosstab,
@@ -144,7 +144,7 @@ class TestTopAndBottomLocations:
         assert [r.value for r in table.rows] == ["alpha", "mid", "zeta"]
 
     def test_insufficient_locations(self):
-        with pytest.raises(InsufficientLocationsError):
+        with pytest.raises(CrimeMinerError, match=r"requested 1\+1\+1 locations but only 2 are distinct"):
             top_and_bottom_locations(ranked_dataset({"a": 1, "b": 1}), 1, 1, 1)
 
 
