@@ -9,17 +9,23 @@ cannot fail; from level 3 the prune looks up only the subsets that drop a
 prefix item, as the other two are the joined sets. An itemset is frequent
 when ``count / n_transactions >= min_sup`` (inclusive).
 
-Hotspot mining gives each crime record the transaction of its three tagged
-items -- (location, L), (day, D), (time, T) -- built once per distinct
-triple and shared by the records that have it, and reports the frequent
-size-3 itemsets, each of which is one record's whole transaction.
+Inside the miner an itemset is the sorted tuple of its items, so a join is a
+tuple concatenation and a count is a lookup of each ``combinations`` tuple of a
+sorted transaction; a level becomes frozensets only when it is stored in
+``MiningRun.itemsets``.
+
+Hotspot mining counts the records of each distinct (location, day, time)
+triple and builds one transaction of three tagged items -- (location, L),
+(day, D), (time, T) -- per triple, so no object is built per record. It
+reports the frequent size-3 itemsets, each of which is one triple's whole
+transaction.
 """
 
 from __future__ import annotations
 
 import csv
 from collections import Counter
-from itertools import combinations, groupby
+from itertools import combinations, groupby, repeat
 from operator import itemgetter
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence, TextIO
 
@@ -87,18 +93,18 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _generate_candidates(frequent: Iterable[frozenset]) -> list[frozenset]:
-    """Join frequent (k-1)-itemsets on a shared (k-2)-prefix, then prune.
+def _generate_candidates(frequent: Iterable[tuple]) -> list[tuple]:
+    """Join frequent (k-1)-itemsets, given as sorted tuples, on a shared
+    (k-2)-prefix, then prune; the candidates are sorted k-tuples, in order.
 
     A candidate ``prefix + (a, b)`` joins ``prefix + (a,)`` and
     ``prefix + (b,)``, both frequent, so the prune checks only the subsets
     that drop one prefix item: ``b`` must follow ``drop + (a,)`` in a
     frequent set for each such ``drop``. Level 2 has no prefix to drop.
     """
-    as_tuples = sorted({tuple(sorted(s)) for s in frequent})
-    followers = {prefix: [t[-1] for t in group] for prefix, group in groupby(as_tuples, key=lambda t: t[:-1])}
+    followers = {prefix: [t[-1] for t in group] for prefix, group in groupby(sorted(frequent), key=lambda t: t[:-1])}
     follower_sets = {prefix: set(items) for prefix, items in followers.items()}
-    candidates: list[frozenset] = []
+    candidates: list[tuple] = []
     for prefix, items in followers.items():
         drops = [prefix[:i] + prefix[i + 1:] for i in range(len(prefix))]
         for i, a in enumerate(items):
@@ -106,21 +112,22 @@ def _generate_candidates(frequent: Iterable[frozenset]) -> list[frozenset]:
             for drop in drops:
                 allowed = follower_sets.get(drop + (a,), ())
                 later = [b for b in later if b in allowed]
-            candidates += (frozenset(prefix + (a, b)) for b in later)
+            candidates += (prefix + (a, b) for b in later)
     return candidates
 
 
 def _count_candidates(
-    candidates: Sequence[frozenset],
-    weighted: Sequence[tuple[frozenset, int]],
+    candidates: Sequence[tuple],
+    weighted: Sequence[tuple[tuple, int]],
     k: int,
-) -> dict[frozenset, int]:
+) -> dict[tuple, int]:
+    """Count each candidate over sorted transactions with multiplicities; the
+    ``combinations`` of a sorted tuple are sorted, so they are looked up as is."""
     counts = dict.fromkeys(candidates, 0)
     for transaction, multiplicity in weighted:
         for combo in combinations(transaction, k):
-            subset = frozenset(combo)
-            if subset in counts:
-                counts[subset] += multiplicity
+            if combo in counts:
+                counts[combo] += multiplicity
     return counts
 
 
@@ -132,9 +139,10 @@ def mine_frequent(
 ) -> MiningRun:
     """Find all itemsets of every size with support at least ``min_sup``.
 
-    Identical transactions are always collapsed into one with a multiplicity
-    count, so each distinct transaction is scanned once per level (a large win
-    when the item vocabulary is much smaller than the transaction list).
+    Identical transactions are always collapsed into one sorted tuple with a
+    multiplicity count, so each distinct transaction is scanned once per level
+    (a large win when the item vocabulary is much smaller than the transaction
+    list). Each level of the run lists its itemsets in sorted-tuple order.
     """
     if not transactions:
         raise CrimeMinerError("cannot mine zero transactions")
@@ -142,32 +150,26 @@ def mine_frequent(
         raise ValueError(f"min_sup must be in (0, 1], got {min_sup}")
     n = len(transactions)
 
-    weighted = list(Counter(map(frozenset, transactions)).items())
+    weighted = [(tuple(sorted(t)), m) for t, m in Counter(map(frozenset, transactions)).items()]
 
     item_counts: Counter = Counter()
     for transaction, multiplicity in weighted:
         for item in transaction:
             item_counts[item] += multiplicity
-    current = {
-        frozenset([item]): count
-        for item, count in item_counts.items()
-        if count / n >= min_sup
-    }
+    current = {(item,): item_counts[item] for item in sorted(item_counts) if item_counts[item] / n >= min_sup}
 
-    def level_entry(counts: Mapping[frozenset, int]) -> dict[frozenset, ItemsetSupport]:
-        ordered = sorted(counts, key=sorted)
-        return {s: ItemsetSupport(counts[s], counts[s] / n) for s in ordered}
+    def level_entry(counts: Mapping[tuple, int]) -> dict[frozenset, ItemsetSupport]:
+        return {frozenset(s): ItemsetSupport(c, c / n) for s, c in counts.items()}
 
     itemsets: dict[int, dict[frozenset, ItemsetSupport]] = {1: level_entry(current)}
     k = 1
     while current and (max_size is None or k < max_size):
         k += 1
-        candidates = _generate_candidates(current)
-        if not candidates:
-            itemsets[k] = {}
-            break
-        counts = _count_candidates(candidates, weighted, k)
+        # Only the frequent sets outlive their level: the candidates and their
+        # counts are dropped before the next join.
+        counts = _count_candidates(_generate_candidates(current), weighted, k)
         current = {s: c for s, c in counts.items() if c / n >= min_sup}
+        del counts
         itemsets[k] = level_entry(current)
     return MiningRun(min_sup, n, itemsets, [])
 
@@ -192,12 +194,16 @@ def mine_hotspot_patterns(dataset: Sequence[UnifiedCrimeRecord], min_sup: float)
     Levels 1 and 2 are still computed for pruning. Every frequent size-3
     itemset is contained in, so equal to, some record's transaction, and
     holds one item per tag; these become the patterns, sorted by location,
-    weekday order, then time-bin order. Records with the same triple share
-    one transaction, built once.
+    weekday order, then time-bin order. Each distinct triple's transaction is
+    built once, and the list handed to ``mine_frequent`` repeats it once per
+    record that has the triple: one list slot per record, no object.
     """
-    triples = list(map(_TRIPLE, dataset))
-    shared = {triple: record_transaction(r) for triple, r in dict(zip(triples, dataset)).items()}
-    transactions = list(map(shared.__getitem__, triples))
+    counts = Counter(map(_TRIPLE, dataset))
+    holder = dict(zip(map(_TRIPLE, dataset), dataset))  # a record of each triple
+    transactions: list[frozenset] = []
+    for triple, count in counts.items():
+        transactions += repeat(record_transaction(holder[triple]), count)
+    del counts, holder  # freed before mining, where the peak is
     run = mine_frequent(transactions, min_sup, max_size=3)
     patterns: list[FrequentPattern] = []
     for itemset, stat in run.itemsets.get(3, {}).items():

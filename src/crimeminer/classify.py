@@ -401,6 +401,13 @@ def _field(value, *kinds):
     return value
 
 
+def _exact(obj: Mapping, keys) -> Mapping:
+    """``obj``, which must hold exactly the ``keys`` that ``save_model`` writes there."""
+    if obj.keys() != keys:
+        raise ValueError(f"expected keys {sorted(keys)}, got {sorted(obj)}")
+    return obj
+
+
 def _load_log(value) -> float:
     if type(value) is float:  # most values: one type test, as every ``predict`` loads them all
         return value
@@ -428,26 +435,31 @@ def nb_to_json_dict(model: NaiveBayesModel) -> dict:
     }
 
 
+_NB_KEYS = {"schema", "alpha", "classes", "log_prior", "vocab", "cond_log", "unseen_log"}
+_FEATURE_KEYS = set(FEATURES)
+
+
 def nb_from_json_dict(obj: Mapping) -> NaiveBayesModel:
     if obj.get("schema") != NB_SCHEMA:
         raise ValueError(f"expected schema {NB_SCHEMA!r}, got {obj.get('schema')!r}")
-    classes = tuple(CrimeCategory(_field(i, int)) for i in obj["classes"])
+    classes = tuple(CrimeCategory(_field(i, int)) for i in _exact(obj, _NB_KEYS)["classes"])
     if not classes or len(set(classes)) != len(classes):
         raise ValueError(f"classes must be distinct and non-empty, got {obj['classes']!r}")
+    vocab, cond_log, unseen_log = (_exact(obj[key], _FEATURE_KEYS) for key in ("vocab", "cond_log", "unseen_log"))
     return NaiveBayesModel(
         alpha=float(_field(obj["alpha"], float, int)),
         classes=classes,
         log_prior={c: _load_log(obj["log_prior"][str(int(c))]) for c in classes},
-        vocab={f: tuple(_field(v, str) for v in obj["vocab"][f]) for f in FEATURES},
+        vocab={f: tuple(_field(v, str) for v in vocab[f]) for f in FEATURES},
         cond_log={
             f: {
-                c: {v: _load_log(p) for v, p in obj["cond_log"][f][str(int(c))].items()}
+                c: {v: _load_log(p) for v, p in cond_log[f][str(int(c))].items()}
                 for c in classes
             }
             for f in FEATURES
         },
         unseen_log={
-            f: {c: _load_log(obj["unseen_log"][f][str(int(c))]) for c in classes}
+            f: {c: _load_log(unseen_log[f][str(int(c))]) for c in classes}
             for f in FEATURES
         },
     )
@@ -471,14 +483,22 @@ def _dt_node_to_json(node: TreeSplit | TreeLeaf) -> dict:
 
 
 _CLASS_KEYS = {str(int(c)): c for c in CLASSES}  # the key each class is written under
+_NODE_KEYS = {"leaf": {"kind", "counts", "class"}, "split": {"kind", "feature", "value", "gain", "true", "false"}}
 
 
 def _dt_node_from_json(obj: Mapping) -> TreeSplit | TreeLeaf:
+    """The node ``obj`` describes. A leaf holds what ``growth.grow`` gives one:
+    positive counts, and the first class (by class id) of the largest count."""
+    if obj["kind"] not in _NODE_KEYS:
+        raise ValueError(f"unknown node kind {obj['kind']!r}")
+    _exact(obj, _NODE_KEYS[obj["kind"]])
     if obj["kind"] == "leaf":
         counts = {_CLASS_KEYS[k]: _field(v, int) for k, v in obj["counts"].items()}
-        return TreeLeaf(counts=counts, majority=CrimeCategory(_field(obj["class"], int)))
-    if obj["kind"] != "split":
-        raise ValueError(f"unknown node kind {obj['kind']!r}")
+        majority = CrimeCategory(_field(obj["class"], int))
+        if not counts or min(counts.values()) < 1 or majority != max(sorted(counts), key=counts.get):
+            raise ValueError(f"a leaf needs positive counts and the first class of the largest count,"
+                             f" got counts {obj['counts']!r} and class {obj['class']!r}")
+        return TreeLeaf(counts=counts, majority=majority)
     if obj["feature"] not in FEATURES:
         raise ValueError(f"unknown split feature {obj['feature']!r}")
     return TreeSplit(
@@ -497,7 +517,11 @@ def dt_to_json_dict(tree: DecisionTree) -> dict:
 def dt_from_json_dict(obj: Mapping) -> DecisionTree:
     if obj.get("schema") != DT_SCHEMA:
         raise ValueError(f"expected schema {DT_SCHEMA!r}, got {obj.get('schema')!r}")
-    return DecisionTree(root=_dt_node_from_json(obj["root"]), max_leaves=_field(obj["max_leaves"], int))
+    root = _dt_node_from_json(_exact(obj, {"schema", "max_leaves", "root"})["root"])
+    tree = DecisionTree(root=root, max_leaves=_field(obj["max_leaves"], int))
+    if tree.max_leaves < max(2, tree.leaf_count):
+        raise ValueError(f"max_leaves {tree.max_leaves} is below 2 or the tree's {tree.leaf_count} leaves")
+    return tree
 
 
 def save_model(model: NaiveBayesModel | DecisionTree, fp: TextIO) -> None:
@@ -508,7 +532,8 @@ def save_model(model: NaiveBayesModel | DecisionTree, fp: TextIO) -> None:
 
 def load_model(fp: TextIO) -> NaiveBayesModel | DecisionTree:
     """Read a saved model; any malformed content raises ``ValueError``. Each
-    value must have the JSON type ``save_model`` writes there."""
+    object must hold exactly the keys, and each value the JSON type, that
+    ``save_model`` writes there, and a tree must be one ``dt_train`` can grow."""
     text = fp.read()  # undecodable bytes raise UnicodeDecodeError for the caller to name the file
     try:
         obj = json.loads(text)

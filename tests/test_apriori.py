@@ -2,11 +2,12 @@
 
 import io
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import datasets, exhaustive_frequent, make_record
@@ -107,6 +108,24 @@ class TestOracleEquivalence:
                 for itemset, stat in level.items():
                     assert stat.count == expected[itemset]
 
+    @given(st.lists(st.lists(st.sampled_from("abcdef"), max_size=6), min_size=1, max_size=12),
+           st.sampled_from([0.1, 0.2, 0.34, 0.5, 0.75, 1.0]), st.none() | st.integers(1, 4))
+    @example([["a"], ["b"]], 0.9, None).via("nothing frequent: level 1 only")
+    @example([["a"], ["a", "b"]], 0.75, None).via("one frequent item: an empty level 2")
+    @example([["a", "b"], ["a", "b", "c"]], 0.5, 1).via("max_size=1")
+    @example([[], ["a", "b"], [], ["b", "a", "a"]], 0.5, None).via("empty transactions")
+    def test_each_level_equals_the_oracle_in_sorted_order(self, transactions, min_sup, max_size):
+        run = mine_frequent(transactions, min_sup, max_size=max_size)
+        expected = exhaustive_frequent(transactions, min_sup, max_size=max_size)
+        # Levels run up to the first empty one, which is kept, or to max_size.
+        largest = max(map(len, expected), default=0)
+        assert list(run.itemsets) == list(range(1, min(largest + 1, max_size or largest + 1) + 1))
+        for size, level in run.itemsets.items():
+            wanted = {itemset: count for itemset, count in expected.items() if len(itemset) == size}
+            assert list(level) == sorted(wanted, key=sorted)
+            assert {s: (stat.count, stat.support) for s, stat in level.items()} == {
+                s: (count, count / len(transactions)) for s, count in wanted.items()}
+
     def test_counting_never_looks_up_the_thread_pool(self, monkeypatch):
         # The module's ThreadPoolExecutor exists only for the benchmark's
         # traced run to swap; mining counts serially and must not touch it.
@@ -137,15 +156,17 @@ class TestJoin:
     @given(same_size_families)
     def test_candidates_equal_the_brute_force_oracle(self, sized_family):
         size, family = sized_family
-        candidates = _generate_candidates(family)
+        candidates = _generate_candidates([tuple(sorted(s)) for s in family])
         assert len(candidates) == len(set(candidates))
-        assert set(candidates) == brute_force_candidates(family, size)
+        assert all(list(c) == sorted(c) for c in candidates)
+        assert candidates == sorted(candidates)
+        assert set(map(frozenset, candidates)) == brute_force_candidates(family, size)
 
     def test_prune_drops_a_join_missing_a_prefix_subset(self):
-        # {1,2,3} and {1,2,4} join to {1,2,3,4}, but {2,3,4} is not frequent.
-        family = {frozenset(s) for s in ({1, 2, 3}, {1, 2, 4}, {1, 3, 4})}
+        # (1,2,3) and (1,2,4) join to (1,2,3,4), but (2,3,4) is not frequent.
+        family = [(1, 2, 3), (1, 2, 4), (1, 3, 4)]
         assert _generate_candidates(family) == []
-        assert _generate_candidates(family | {frozenset({2, 3, 4})}) == [frozenset({1, 2, 3, 4})]
+        assert _generate_candidates(family + [(2, 3, 4)]) == [(1, 2, 3, 4)]
 
 
 def assert_mining_invariants(run):
@@ -267,6 +288,32 @@ class TestHotspotMining:
         assert round(0.0018 * 196767) == 354
         assert round(0.0012 * 231640) == 278
         assert abs(278 - 277) <= 1
+
+
+def traced_peak(fn, *args) -> int:
+    """Bytes allocated at the peak of ``fn(*args)`` beyond those live before it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestMiningMemory:
+    @pytest.mark.parametrize("min_sup", [0.003, 0.01, 0.05])
+    def test_each_added_record_costs_at_most_a_list_slot(self, synthetic_dataset, min_sup):
+        # The transaction list holds one 8-byte slot per record, plus list growth
+        # of up to 1/8 (8.0-8.5 bytes measured here). A tuple or set built per
+        # record costs 64 bytes or more and fails.
+        once = traced_peak(mine_hotspot_patterns, synthetic_dataset, min_sup)
+        eight_times = traced_peak(mine_hotspot_patterns, synthetic_dataset * 8, min_sup)
+        assert eight_times - once <= 10 * 7 * len(synthetic_dataset)
 
 
 class TestPatternOutput:

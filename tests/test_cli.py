@@ -554,13 +554,24 @@ def first_node(node: dict, kind: str) -> dict:
     return node if node["kind"] == kind else first_node(node["true"], kind)
 
 
+def first_leaf(model: dict) -> dict:
+    return first_node(model["root"], "leaf")
+
+
 def first_count(model: dict) -> dict:
     """The counts of a saved tree's first leaf, with one class key."""
-    return first_node(model["root"], "leaf")["counts"]
+    return first_leaf(model)["counts"]
 
 
-class TestModelValueTypes:
-    """``predict`` loads exactly the JSON types that ``train`` writes."""
+def edited(model: dict, edit) -> dict:
+    model = copy.deepcopy(model)
+    edit(model)
+    return model
+
+
+class TestModelFiles:
+    """``predict`` loads exactly what ``train`` can write: the JSON types and
+    keys it writes, and a tree that ``dt_train`` can grow."""
 
     @pytest.mark.parametrize("schema, edit", [
         pytest.param("dt-v1", lambda m: m.update(max_leaves=10.9), id="max-leaves-float"),
@@ -582,19 +593,41 @@ class TestModelValueTypes:
         pytest.param("nb-v1", lambda m: m["cond_log"]["day"]["2"].update(Friday="-2"), id="cond-log-string"),
         pytest.param("nb-v1", lambda m: m["unseen_log"]["location"].update({"3": True}), id="unseen-log-bool"),
         pytest.param("nb-v1", lambda m: m["vocab"]["location"].append(7), id="vocab-int"),
+        pytest.param("nb-v1", lambda m: m.update(trained_on="denver"), id="nb-unknown-key"),
+        pytest.param("nb-v1", lambda m: m["cond_log"].update(weather=m["cond_log"]["day"]), id="cond-log-unknown-feature"),
+        pytest.param("nb-v1", lambda m: m["vocab"].update(weather=["rain"]), id="vocab-unknown-feature"),
+        pytest.param("nb-v1", lambda m: m["unseen_log"].update(weather=m["unseen_log"]["day"]), id="unseen-log-unknown-feature"),
+        pytest.param("dt-v1", lambda m: m.update(trained_on="denver"), id="dt-unknown-key"),
+        pytest.param("dt-v1", lambda m: first_leaf(m).update(depth=2), id="leaf-unknown-key"),
+        pytest.param("dt-v1", lambda m: first_node(m["root"], "split").update(depth=1), id="split-unknown-key"),
+        pytest.param("dt-v1", lambda m: m.update(max_leaves=1), id="max-leaves-1"),
+        pytest.param("dt-v1", lambda m: m.update(max_leaves=0), id="max-leaves-0"),
+        pytest.param("dt-v1", lambda m: m.update(max_leaves=2), id="max-leaves-below-leaf-count"),
+        pytest.param("dt-v1", lambda m: first_leaf(m).update(counts={"5": 0}), id="count-zero"),
+        pytest.param("dt-v1", lambda m: first_leaf(m).update(counts={"5": -5}), id="count-negative"),
+        pytest.param("dt-v1", lambda m: first_leaf(m).update(counts={"1": 2, "5": 0}), id="count-zero-beside-positive"),
+        pytest.param("dt-v1", lambda m: first_leaf(m).update(counts={}), id="no-counts"),
+        pytest.param("dt-v1", lambda m: first_leaf(m).update({"class": 1}), id="class-not-counted"),
+        pytest.param("dt-v1", lambda m: first_leaf(m).update(counts={"1": 2, "5": 15}, **{"class": 1}),
+                     id="class-not-largest"),
+        pytest.param("dt-v1", lambda m: first_leaf(m).update(counts={"1": 15, "5": 15}), id="tie-to-later-class"),
     ])
-    def test_a_mistyped_value_is_a_one_line_data_error(self, tmp_path, capsys, schema, edit):
-        model = copy.deepcopy(NB_MODEL if schema == "nb-v1" else DT_MODEL)
-        edit(model)
+    def test_a_file_train_never_writes_is_a_one_line_data_error(self, tmp_path, capsys, schema, edit):
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(model), encoding="utf-8")
+        path.write_text(json.dumps(edited(NB_MODEL if schema == "nb-v1" else DT_MODEL, edit)), encoding="utf-8")
         code = main(["predict", "--model", str(path), "--month", "June", "--day", "Friday",
                      "--time", "T6", "--location", "cbd"])
         assert code == 2
         assert f"{path}: malformed {schema} model: " in assert_one_line_error(capsys, "error: ")
 
-    @pytest.mark.parametrize("model", [NB_MODEL, DT_MODEL], ids=["nb", "dt"])
-    def test_the_written_types_load(self, tmp_path, model):
+    @pytest.mark.parametrize("model", [
+        pytest.param(NB_MODEL, id="nb"),
+        pytest.param(DT_MODEL, id="dt"),
+        pytest.param(edited(DT_MODEL, lambda m: first_leaf(m).update(counts={"1": 15, "5": 15}, **{"class": 1})),
+                     id="tie-to-first-class"),
+        pytest.param(edited(DT_MODEL, lambda m: m.update(max_leaves=3)), id="max-leaves-equal-to-leaf-count"),
+    ])
+    def test_what_train_can_write_loads(self, tmp_path, model):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(model), encoding="utf-8")
         assert main(["predict", "--model", str(path), "--month", "June", "--day", "Friday",
