@@ -4,10 +4,11 @@ The miner is generic over hashable, mutually ordered items: candidates of
 size k are joined from frequent (k-1)-itemsets sharing a (k-2)-prefix in the
 items' natural order, pruned by the anti-monotone support property, and
 counted in one pass per level through a hash lookup (Agrawal & Srikant,
-VLDB 1994). Level 2 takes every pair of frequent items, where the prune
-cannot fail; from level 3 the prune looks up only the subsets that drop a
-prefix item, as the other two are the joined sets. An itemset is frequent
-when ``count / n_transactions >= min_sup`` (inclusive).
+VLDB 1994). Level 2 counts only the pairs of frequent items that occur in a
+transaction: the join would take every pair of frequent items, and any
+other pair counts 0. From level 3 the prune looks up only the subsets that
+drop a prefix item, as the other two are the joined sets. An itemset is
+frequent when ``count / n_transactions >= min_sup`` (inclusive).
 
 Inside the miner an itemset is the sorted tuple of its items, so a join is a
 tuple concatenation and a count is a lookup of each ``combinations`` tuple of a
@@ -16,9 +17,9 @@ sorted transaction; a level becomes frozensets only when it is stored in
 
 Hotspot mining counts the records of each distinct (location, day, time)
 triple and builds one transaction of three tagged items -- (location, L),
-(day, D), (time, T) -- per triple, so no object is built per record. It
-reports the frequent size-3 itemsets, each of which is one triple's whole
-transaction.
+(day, D), (time, T) -- per triple, so no object is built per record, and
+the transactions share one tuple per distinct item. It reports the frequent
+size-3 itemsets, each of which is one triple's whole transaction.
 """
 
 from __future__ import annotations
@@ -100,7 +101,8 @@ def _generate_candidates(frequent: Iterable[tuple]) -> list[tuple]:
     A candidate ``prefix + (a, b)`` joins ``prefix + (a,)`` and
     ``prefix + (b,)``, both frequent, so the prune checks only the subsets
     that drop one prefix item: ``b`` must follow ``drop + (a,)`` in a
-    frequent set for each such ``drop``. Level 2 has no prefix to drop.
+    frequent set for each such ``drop``. Level 2 has no prefix to drop, and
+    ``mine_frequent`` counts it with ``_count_pairs`` instead.
     """
     followers = {prefix: [t[-1] for t in group] for prefix, group in groupby(sorted(frequent), key=lambda t: t[:-1])}
     follower_sets = {prefix: set(items) for prefix, items in followers.items()}
@@ -129,6 +131,19 @@ def _count_candidates(
             if combo in counts:
                 counts[combo] += multiplicity
     return counts
+
+
+def _count_pairs(frequent: Iterable[tuple], weighted: Sequence[tuple[tuple, int]]) -> dict[tuple, int]:
+    """Level 2: the count of each pair of ``frequent`` items (1-tuples) that
+    occurs in a sorted transaction, keyed in sorted order. This equals
+    counting the join of every such pair, as a pair that occurs nowhere
+    counts 0, and it holds no entry for those."""
+    keep = {item for (item,) in frequent}
+    counts: Counter = Counter()
+    for transaction, multiplicity in weighted:
+        for pair in combinations([item for item in transaction if item in keep], 2):
+            counts[pair] += multiplicity
+    return {pair: counts[pair] for pair in sorted(counts)}
 
 
 def mine_frequent(
@@ -167,22 +182,24 @@ def mine_frequent(
         k += 1
         # Only the frequent sets outlive their level: the candidates and their
         # counts are dropped before the next join.
-        counts = _count_candidates(_generate_candidates(current), weighted, k)
+        if k == 2:
+            counts = _count_pairs(current, weighted)
+        else:
+            counts = _count_candidates(_generate_candidates(current), weighted, k)
         current = {s: c for s, c in counts.items() if c / n >= min_sup}
         del counts
         itemsets[k] = level_entry(current)
     return MiningRun(min_sup, n, itemsets, [])
 
 
-def record_transaction(record: UnifiedCrimeRecord) -> frozenset:
-    """One transaction per record: tagged location, weekday, and time bin."""
-    return frozenset(
-        {
-            (LOCATION_TAG, record.location),
-            (DAY_TAG, record.day),
-            (TIME_TAG, record.time.value),
-        }
-    )
+def record_transaction(record: UnifiedCrimeRecord, items: dict | None = None) -> frozenset:
+    """One transaction per record: tagged location, weekday, and time bin.
+    ``items``, a memo mapping each item to itself, makes equal items of the
+    transactions built with it one tuple."""
+    tagged = ((LOCATION_TAG, record.location), (DAY_TAG, record.day), (TIME_TAG, record.time.value))
+    if items is not None:
+        tagged = [items.setdefault(item, item) for item in tagged]
+    return frozenset(tagged)
 
 
 _TRIPLE = itemgetter(4, 2, 3)  # a record's (location, day, time)
@@ -195,15 +212,17 @@ def mine_hotspot_patterns(dataset: Sequence[UnifiedCrimeRecord], min_sup: float)
     itemset is contained in, so equal to, some record's transaction, and
     holds one item per tag; these become the patterns, sorted by location,
     weekday order, then time-bin order. Each distinct triple's transaction is
-    built once, and the list handed to ``mine_frequent`` repeats it once per
-    record that has the triple: one list slot per record, no object.
+    built once, of items shared with the other transactions, and the list
+    handed to ``mine_frequent`` repeats it once per record that has the
+    triple: one list slot per record, no object.
     """
     counts = Counter(map(_TRIPLE, dataset))
     holder = dict(zip(map(_TRIPLE, dataset), dataset))  # a record of each triple
+    items: dict = {}  # each distinct (tag, value) item, for this call only
     transactions: list[frozenset] = []
     for triple, count in counts.items():
-        transactions += repeat(record_transaction(holder[triple]), count)
-    del counts, holder  # freed before mining, where the peak is
+        transactions += repeat(record_transaction(holder[triple], items), count)
+    del counts, holder, items  # freed before mining, where the peak is
     run = mine_frequent(transactions, min_sup, max_size=3)
     patterns: list[FrequentPattern] = []
     for itemset, stat in run.itemsets.get(3, {}).items():

@@ -14,7 +14,9 @@ from collections import Counter
 from typing import Mapping, NamedTuple, Sequence, TextIO
 
 from .errors import CrimeMinerError, UnmatchedNeighborhoodError
-from .ingestion import DemographicsRecord
+# ``demographics`` loads the table through ``demographics.load_demographics_csv``, where
+# ``perfbench/tracer.py`` wraps it.
+from .demographics_csv import DemographicsRecord, load_demographics_csv  # noqa: F401
 from .vocab import UnifiedCrimeRecord
 
 

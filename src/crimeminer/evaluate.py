@@ -8,10 +8,8 @@ from collections import Counter
 from itertools import chain
 from typing import Mapping, NamedTuple, Sequence, TextIO
 
-from .classify import (
-    CLASS_INDEX, CLASSES, FEATURES, Dataset, DecisionTree, NaiveBayesModel, TreeLeaf, as_dataset,
-    fit_model, histogram_minus, seeded_permutation,
-)
+from .classify import CLASSES, FEATURES, DecisionTree, NaiveBayesModel, TreeLeaf
+from .training import CLASS_INDEX, Dataset, as_dataset, fit_model, histogram_minus, seeded_permutation
 from .errors import CrimeMinerError
 from .vocab import CrimeCategory, UnifiedCrimeRecord, round_half_up
 
@@ -133,8 +131,8 @@ def evaluate_model(model, test: Data) -> EvaluationReport:
     return classification_report(_confusion(model, test))
 
 
-def _fit_predict(train, test, model_kind, alpha, max_leaves) -> ConfusionMatrix:
-    return _confusion(fit_model(model_kind, train, alpha=alpha, max_leaves=max_leaves), test)
+def _fit_predict(train, test, model_kind, alpha, max_leaves, terms=None) -> ConfusionMatrix:
+    return _confusion(fit_model(model_kind, train, alpha=alpha, max_leaves=max_leaves, terms=terms), test)
 
 
 def _confusion(model, test: Data) -> ConfusionMatrix:
@@ -237,10 +235,14 @@ def cross_validate(
     # training set's is the whole less its fold's.
     tests = [data.subset(fold) for fold in folds]
     whole = [list(map(sum, zip(*counts))) for counts in zip(*(test.histogram for test in tests))]
+    terms = None
+    if model_kind == "dt":  # one c·log2 c memo for every fold's tree, made per call
+        from .growth import XLog2X
+        terms = XLog2X()
     matrices = [
         _fit_predict(data.subset(sorted(chain.from_iterable(f for f in folds if f is not fold)),
                                  histogram_minus(whole, test.histogram)),
-                     test, model_kind, alpha, max_leaves)
+                     test, model_kind, alpha, max_leaves, terms)
         for fold, test in zip(folds, tests)
     ]
     fold_accuracies = tuple(m.trace / m.total for m in matrices)

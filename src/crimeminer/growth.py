@@ -1,6 +1,6 @@
 """The decision tree's split search and best-first growth, on histograms.
 
-``classify.dt_train`` loads this module, so ``predict`` does not compile it.
+``training.dt_train`` loads this module, so ``predict`` does not compile it.
 A split counts only its smaller child; the larger child's histogram is the
 parent's less the smaller one's (histogram subtraction; Ke et al., NeurIPS
 2017), and its rows are listed only if it is split in turn.
@@ -14,15 +14,14 @@ from itertools import compress
 from operator import sub
 from typing import Iterable
 
-from .classify import (
-    CLASSES, FEATURES, N_CLASSES, Dataset, TreeLeaf, TreeSplit, by_value, count_histogram,
-    histogram_minus,
-)
+from .classify import CLASSES, FEATURES, TreeLeaf, TreeSplit
+from .training import N_CLASSES, Dataset, by_value, count_histogram, histogram_minus
 
 
 class XLog2X(dict):
-    """c·log2(c) by count c, computed on first use (0·log2 0 = 0); one memo
-    serves one tree, so it holds only the counts that tree meets."""
+    """c·log2(c) by count c, computed on first use (0·log2 0 = 0). One memo
+    serves one tree, or the trees of one cross-validation, whose folds meet
+    mostly the same counts; it lives no longer than the call that made it."""
 
     def __missing__(self, count: int) -> float:
         value = self[count] = count * math.log2(count) if count else 0.0
@@ -87,9 +86,10 @@ def best_split(data: Dataset, histogram, terms: XLog2X):
     return best
 
 
-def grow(data: Dataset, max_leaves: int) -> TreeSplit | TreeLeaf:
-    """The root of ``classify.dt_train``'s tree over ``data``."""
-    terms = XLog2X()
+def grow(data: Dataset, max_leaves: int, terms: XLog2X | None = None) -> TreeSplit | TreeLeaf:
+    """The root of ``training.dt_train``'s tree over ``data``, its c·log2 c
+    terms taken from ``terms`` (a new memo if None)."""
+    terms = XLog2X() if terms is None else terms
 
     def leaf(histogram, rows, creation) -> _GrowNode:
         return _GrowNode(histogram, rows, creation, best_split(data, histogram, terms))

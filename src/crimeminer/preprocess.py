@@ -24,7 +24,16 @@ from .vocab import (  # noqa: F401 -- also re-exported for existing importers
 if TYPE_CHECKING:
     import datetime as dt
 
-    from .ingestion import RawCrimeRecord
+    from .rawjsonl import RawCrimeRecord
+
+
+def __getattr__(name: str):
+    # Kept only for ``perfbench/tracer.py``, until ROADMAP item 1's benchmark change: the traced run
+    # wraps the raw reader here as ``ingestion.read_raw_jsonl``, and ``preprocess`` reads through it.
+    if name == "read_raw_jsonl":
+        from .rawjsonl import read_raw_jsonl
+        return read_raw_jsonl
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _calendar(date: dt.date) -> tuple[str, str, int]:

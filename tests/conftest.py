@@ -12,14 +12,13 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from crimeminer.classify import (
-    CLASSES, FEATURES, Dataset, DecisionTree, FeatureVector, TreeLeaf, TreeSplit, feature_of,
-)
+from crimeminer.classify import CLASSES, FEATURES, DecisionTree, FeatureVector, TreeLeaf, TreeSplit, feature_of
 from crimeminer.growth import XLog2X, best_split
 from crimeminer.ingestion import (
     DENVER_KEY_COLUMNS, LA_KEY_COLUMNS, IngestReport, RawCrimeRecord, Schema, normalize_category, normalize_location,
-    raw_from_json_dict,
 )
+from crimeminer.rawjsonl import raw_from_json_dict
+from crimeminer.training import Dataset
 from crimeminer.preprocess import (
     MONTH_NAMES,
     TIME_BIN_ORDER,

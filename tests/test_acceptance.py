@@ -19,7 +19,7 @@ import pytest
 from conftest import brute_force_posterior, exhaustive_frequent, make_record
 from crimeminer import synthetic
 from crimeminer.apriori import mine_frequent, mine_hotspot_patterns
-from crimeminer.classify import dt_train, entropy, nb_predict, nb_train
+from crimeminer.classify import nb_predict
 from crimeminer.cli import main
 from crimeminer.evaluate import ConfusionMatrix, classification_report, cross_validate
 from crimeminer.preprocess import (
@@ -30,6 +30,7 @@ from crimeminer.preprocess import (
     bin_time,
 )
 from crimeminer.stats import crosstab, frequency_table
+from crimeminer.training import dt_train, entropy, nb_train
 
 
 @contextlib.contextmanager

@@ -126,6 +126,27 @@ class TestOracleEquivalence:
             assert {s: (stat.count, stat.support) for s, stat in level.items()} == {
                 s: (count, count / len(transactions)) for s, count in wanted.items()}
 
+    @given(st.lists(st.tuples(st.sampled_from("abcdefgh"), st.sampled_from(WEEKDAY_NAMES),
+                              st.sampled_from(["T1", "T2", "T3", "T4", "T5", "T6"])), min_size=1, max_size=40),
+           st.sampled_from([0.01, 0.05, 0.1, 0.25]))
+    @example([("a", "Monday", "T1"), ("b", "Friday", "T6")], 0.5).via("frequent items that never meet")
+    def test_level_two_counts_the_pairs_that_occur_as_the_join_would(self, triples, min_sup):
+        """Hotspot-shaped transactions hold one item per tag, so most pairs of
+        frequent items (two values of a tag, or values that never meet) never
+        occur: level 2 keeps no entry for them and still equals the oracle."""
+        transactions = [{("location", loc), ("day", day), ("time", time)} for loc, day, time in triples]
+        run = mine_frequent(transactions, min_sup, max_size=3)
+        expected = exhaustive_frequent(transactions, min_sup, max_size=3)
+        for size, level in run.itemsets.items():
+            wanted = {itemset: count for itemset, count in expected.items() if len(itemset) == size}
+            assert list(level) == sorted(wanted, key=sorted)
+            assert {s: stat.count for s, stat in level.items()} == wanted
+        frequent = [tuple(itemset) for itemset in run.itemsets[1]]
+        weighted = [(tuple(sorted(t)), 1) for t in transactions]
+        occurring = {pair for row, _ in weighted for pair in combinations(row, 2)
+                     if all((item,) in frequent for item in pair)}
+        assert list(apriori._count_pairs(frequent, weighted)) == sorted(occurring)
+
     def test_counting_never_looks_up_the_thread_pool(self, monkeypatch):
         # The module's ThreadPoolExecutor exists only for the benchmark's
         # traced run to swap; mining counts serially and must not touch it.
@@ -267,9 +288,9 @@ class TestHotspotMining:
     def test_one_transaction_per_distinct_triple(self, dataset, min_sup):
         built = []
 
-        def recording(record):
+        def recording(record, *args):
             built.append(record)
-            return record_transaction(record)
+            return record_transaction(record, *args)
 
         original = apriori.record_transaction
         apriori.record_transaction = recording

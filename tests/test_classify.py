@@ -22,27 +22,29 @@ from conftest import (
 )
 from crimeminer.classify import (
     FEATURES,
-    Dataset,
     DecisionTree,
     FeatureVector,
-    SplitSpec,
     TreeLeaf,
     TreeSplit,
     dt_predict,
-    dt_train,
-    entropy,
     feature_of,
     load_model,
     nb_class_scores,
     nb_predict,
-    nb_train,
     save_model,
-    seeded_permutation,
-    split_train_test,
 )
 from crimeminer.errors import CrimeMinerError
 from crimeminer.growth import XLog2X, best_split
 from crimeminer.preprocess import MONTH_NAMES, CrimeCategory, TimeBin
+from crimeminer.training import (
+    Dataset,
+    SplitSpec,
+    dt_train,
+    entropy,
+    nb_train,
+    seeded_permutation,
+    split_train_test,
+)
 
 
 class TestSplit:

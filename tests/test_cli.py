@@ -9,6 +9,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA_DIR
-from crimeminer import classify, cli, evaluate, ingestion, preprocess, stats, vocab
+from crimeminer import classify, cli, evaluate, ingestion, preprocess, stats, training, vocab
 from crimeminer.cli import build_parser, main
 from crimeminer.preprocess import read_unified_jsonl
 from crimeminer.synthetic import generate_synthetic_dataset
@@ -27,8 +28,8 @@ FIXTURE = str(DATA_DIR / "synthetic_crimes.jsonl")
 DEFAULT_COLUMNS = json.loads((SRC / "crimeminer" / "data" / "demographics_columns.json").read_text("utf-8"))
 MISSPELLED_COLUMNS = {**{k: v for k, v in DEFAULT_COLUMNS.items() if k != "age_brackets"},
                       "age_bracket": DEFAULT_COLUMNS["age_brackets"]}
-NB_MODEL = classify.nb_to_json_dict(classify.nb_train(generate_synthetic_dataset()[:100]))
-DT_MODEL = classify.dt_to_json_dict(classify.dt_train(generate_synthetic_dataset()[:100], max_leaves=4))
+NB_MODEL = classify.nb_to_json_dict(training.nb_train(generate_synthetic_dataset()[:100]))
+DT_MODEL = classify.dt_to_json_dict(training.dt_train(generate_synthetic_dataset()[:100], max_leaves=4))
 CSV_HEADER = "INCIDENT_ID,OFFENSE_CATEGORY_ID,FIRST_OCCURRENCE_DATE,NEIGHBORHOOD_ID,IS_CRIME\n"
 INGEST_ARGV = ["ingest", "--schema", "denver", "--input", "side.json"]
 COLUMNS_ARGV = ["demographics", "--dataset", "unified.jsonl", "--demographics", "demo.csv",
@@ -218,7 +219,7 @@ class TestPipeline:
                      "--seed", "7", "--output", str(tmp_path / "model.json"),
                      "--eval-report", str(tmp_path / "holdout.json")]) == 0
         assert fits == [f"{kind}_train"]
-        train, test = classify.split_train_test(dataset, classify.SplitSpec(0.8, seed=7))
+        train, test = training.split_train_test(dataset, training.SplitSpec(0.8, seed=7))
         expected = io.StringIO()
         evaluate.write_report_json(evaluate.evaluate_split(train, test, kind), expected)
         assert (tmp_path / "holdout.json").read_bytes() == expected.getvalue().encode()
@@ -597,6 +598,11 @@ class TestModelFiles:
         pytest.param("nb-v1", lambda m: m["cond_log"].update(weather=m["cond_log"]["day"]), id="cond-log-unknown-feature"),
         pytest.param("nb-v1", lambda m: m["vocab"].update(weather=["rain"]), id="vocab-unknown-feature"),
         pytest.param("nb-v1", lambda m: m["unseen_log"].update(weather=m["unseen_log"]["day"]), id="unseen-log-unknown-feature"),
+        pytest.param("nb-v1", lambda m: m["log_prior"].update({"7": -1.5}), id="log-prior-unknown-class"),
+        pytest.param("nb-v1", lambda m: m["cond_log"]["day"].update({"7": m["cond_log"]["day"]["1"]}),
+                     id="cond-log-unknown-class"),
+        pytest.param("nb-v1", lambda m: m["unseen_log"]["time"].update({"01": -2.0}), id="unseen-log-padded-class"),
+        pytest.param("nb-v1", lambda m: m["classes"].remove(6), id="class-dropped-but-tabled"),
         pytest.param("dt-v1", lambda m: m.update(trained_on="denver"), id="dt-unknown-key"),
         pytest.param("dt-v1", lambda m: first_leaf(m).update(depth=2), id="leaf-unknown-key"),
         pytest.param("dt-v1", lambda m: first_node(m["root"], "split").update(depth=1), id="split-unknown-key"),
@@ -790,7 +796,8 @@ class TestImports:
                                 "--output", str(pipeline / "p.json")])
         assert {"crimeminer.classify", "crimeminer.vocab"} <= loaded
         unwanted = {f"crimeminer.{name}" for name in
-                    ("ingestion", "preprocess", "apriori", "stats", "evaluate", "demographics", "growth")}
+                    ("ingestion", "preprocess", "apriori", "stats", "evaluate", "demographics", "growth",
+                     "training", "rawjsonl", "csvrows", "demographics_csv", "cli_config")}
         assert not loaded & (unwanted | {"concurrent.futures"})
 
     def test_no_call_loads_dataclasses(self, pipeline):
@@ -864,6 +871,60 @@ class TestImports:
         assert {m for m in loaded if m.startswith("crimeminer.")} == {
             "crimeminer.cli", "crimeminer.errors"}
 
+    def test_each_call_loads_its_own_handler_alone(self, pipeline):
+        dataset = ["--dataset", str(pipeline / "unified.jsonl")]
+        out = str(pipeline / "out")
+        calls = [
+            ["ingest", "--schema", "denver", "--input", str(pipeline / "denver.csv"), "--output", out],
+            ["preprocess", "--schema", "denver", "--input", str(pipeline / "raw.jsonl"), "--output", out],
+            ["mine", *dataset, "--min-sup", "0.2", "--output", out],
+            ["train", *dataset, "--model", "nb", "--output", str(pipeline / "nb.json")],
+            ["predict", "--model", str(pipeline / "nb.json"), "--month", "June", "--day", "Friday",
+             "--time", "T6", "--location", "cbd", "--output", out],
+        ]
+        for argv in calls:
+            handlers = {m for m in modules_after(argv) if m.startswith("crimeminer.cli_")}
+            assert handlers == {f"crimeminer.cli_{argv[0]}"}, argv[0]
+
+    def test_preprocess_and_demographics_load_no_csv_feed_loader(self, pipeline):
+        out = str(pipeline / "out")
+        loaded = modules_after(["preprocess", "--schema", "denver", "--input", str(pipeline / "raw.jsonl"),
+                                "--output", out])
+        assert "crimeminer.rawjsonl" in loaded
+        assert not loaded & {"crimeminer.ingestion", "crimeminer.csvrows", "crimeminer.demographics_csv"}
+        loaded = modules_after(["demographics", "--dataset", str(pipeline / "unified.jsonl"),
+                                "--demographics", str(pipeline / "demo.csv"), "--top", "2", "--bottom", "2",
+                                "--output", out])
+        assert "crimeminer.demographics_csv" in loaded
+        assert not loaded & {"crimeminer.ingestion", "crimeminer.rawjsonl"}
+
+    def test_config_code_loads_only_with_config(self, pipeline):
+        dataset = ["--dataset", str(pipeline / "unified.jsonl")]
+        out = str(pipeline / "out")
+        config, columns = pipeline / "config.json", pipeline / "columns.json"
+        config.write_text('{"attribute": "day"}', encoding="utf-8")
+        columns.write_text(json.dumps(DEFAULT_COLUMNS), encoding="utf-8")
+        for argv in (["stats", *dataset, "--rows", "type", "--cols", "day", "--output", out],
+                     ["evaluate", *dataset, "--model", "nb", "--folds", "2", "--csv", f"{out}.csv", "--output", out],
+                     ["demographics", *dataset, "--demographics", str(pipeline / "demo.csv"), "--top", "2",
+                      "--bottom", "2", "--columns", str(columns), "--output", out]):
+            assert "crimeminer.cli_config" not in modules_after(argv), argv[0]
+        for flag in (["--config", str(config)], [f"--config={config}"], ["--conf", str(config)]):
+            assert "crimeminer.cli_config" in modules_after(["stats", *dataset, *flag, "--output", out]), flag
+
+    def test_every_module_stays_under_2400_tokens(self):
+        """CPython 3.11's parser holds about 0.5 KB per token until it has
+        compiled a module, and with no bytecode cache every call compiles each
+        module it loads, so small modules keep a call's peak memory low.
+        Tokens are counted without comments and non-logical line breaks."""
+        sizes = {}
+        for path in sorted((SRC / "crimeminer").glob("*.py")):
+            with open(path, encoding="utf-8") as fp:
+                sizes[path.name] = sum(1 for token in tokenize.generate_tokens(fp.readline)
+                                       if token.type not in (tokenize.COMMENT, tokenize.NL))
+        assert len(sizes) > 20
+        assert {name: n for name, n in sizes.items() if n >= 2400} == {}
+
     def test_moved_names_are_reexported_unchanged(self):
         for name in ("MONTH_NAMES", "WEEKDAY_NAMES", "TimeBin", "TIME_BIN_ORDER", "bin_time",
                      "CrimeCategory", "UnifiedCrimeRecord"):
@@ -888,7 +949,7 @@ class TestParserPerCall:
 
         alone = run()
         build_all = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda only=None: build_all())
+        monkeypatch.setattr(cli, "build_parser", lambda only=None, **kwargs: build_all())
         assert run() == alone
         assert alone[0] == (0 if argv[1] == "--help" else 1)
 
@@ -901,8 +962,8 @@ class TestParserPerCall:
         seen = []
         build = cli.build_parser
 
-        def recording(only=None):
-            parser, commands = build(only)
+        def recording(only=None, **kwargs):
+            parser, commands = build(only, **kwargs)
             seen.append(list(commands))
             return parser, commands
 

@@ -16,7 +16,7 @@ from crimeminer.demographics import (
     write_comparison_json,
 )
 from crimeminer.errors import CrimeMinerError, UnmatchedNeighborhoodError
-from crimeminer.ingestion import DemographicsColumns, DemographicsRecord, load_demographics_csv
+from crimeminer.demographics_csv import DemographicsColumns, DemographicsRecord, load_demographics_csv
 
 
 def demo(name, population=100, male=None, female=None, units=50, occupied=45, vacant=5, ages=None):

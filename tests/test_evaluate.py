@@ -10,17 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import datasets, make_record
 from crimeminer import evaluate
-from crimeminer.classify import (
-    Dataset,
-    SplitSpec,
-    dt_predict,
-    dt_train,
-    nb_predict,
-    nb_train,
-    save_model,
-    seeded_permutation,
-    split_train_test,
-)
+from crimeminer.classify import dt_predict, nb_predict, save_model
 from crimeminer.errors import CrimeMinerError
 from crimeminer.evaluate import (
     ConfusionMatrix,
@@ -36,6 +26,7 @@ from crimeminer.evaluate import (
 )
 from crimeminer.preprocess import MONTH_NAMES, WEEKDAY_NAMES, CrimeCategory
 from crimeminer.synthetic import generate_synthetic_dataset
+from crimeminer.training import Dataset, SplitSpec, dt_train, nb_train, seeded_permutation, split_train_test
 
 A, DA, OC, PD, TH, WC = CrimeCategory
 

@@ -12,18 +12,16 @@ from hypothesis import strategies as st
 from conftest import reference_load_crime_csv
 
 from crimeminer.errors import CrimeMinerError
+from crimeminer.demographics_csv import DemographicsColumns, load_demographics_csv
 from crimeminer.ingestion import (
-    DemographicsColumns,
     RawCrimeRecord,
     Schema,
     filter_crimes,
     load_crime_csv,
-    load_demographics_csv,
     normalize_category,
     normalize_location,
-    read_raw_jsonl,
-    write_raw_jsonl,
 )
+from crimeminer.rawjsonl import read_raw_jsonl, write_raw_jsonl
 
 DENVER_HEADER = "INCIDENT_ID,OFFENSE_CATEGORY_ID,FIRST_OCCURRENCE_DATE,NEIGHBORHOOD_ID,IS_CRIME\n"
 LA_HEADER = "DR No,Crm Cd Desc,DATE OCC,TIME OCC,AREA NAME\n"

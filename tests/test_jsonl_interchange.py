@@ -15,14 +15,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_read_raw_jsonl, reference_read_unified_jsonl
-from crimeminer import ingestion
-from crimeminer.ingestion import (
-    RawCrimeRecord,
-    raw_from_json_dict,
-    raw_to_json_dict,
-    read_raw_jsonl,
-    write_raw_jsonl,
-)
 from crimeminer import preprocess
 from crimeminer.preprocess import (
     MONTH_NAMES,
@@ -35,6 +27,14 @@ from crimeminer.preprocess import (
     unified_from_json_dict,
     unified_to_json_dict,
     write_unified_jsonl,
+)
+from crimeminer import rawjsonl
+from crimeminer.rawjsonl import (
+    RawCrimeRecord,
+    raw_from_json_dict,
+    raw_to_json_dict,
+    read_raw_jsonl,
+    write_raw_jsonl,
 )
 
 # --- writers ------------------------------------------------------------------
@@ -427,7 +427,7 @@ def test_a_raw_file_of_many_blocks_reads_every_record():
                               i) for i in range(3000)]
     text = written(write_raw_jsonl, records)
     assert len(text) > 4 * preprocess._BLOCK_CHARS
-    with mock.patch.object(ingestion, "raw_from_json_dict", side_effect=AssertionError("line-by-line read")):
+    with mock.patch.object(rawjsonl, "raw_from_json_dict", side_effect=AssertionError("line-by-line read")):
         got = read_raw_jsonl(io.StringIO(text))
     assert got == records
     assert len({id(r.location_name) for r in got}) == 97  # one string per distinct location

@@ -107,3 +107,54 @@ def test_traced_ingest_and_preprocess_record_the_spans_the_benchmark_reads(tmp_p
                        "ingestion.read_raw_jsonl", "preprocess.preprocess_dataset",
                        "preprocess.write_unified_jsonl"}
     assert (tmp_path / "unified.jsonl").read_text(encoding="utf-8").count("\n") == 2
+
+
+def load_harness():
+    """``perfbench/run.py``, for the names its traced run reads (it imports its siblings by name)."""
+    sys.path.insert(0, str(TRACER.parent))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_run", TRACER.parent / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # its dataclasses look their module up here
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(TRACER.parent))
+    return module
+
+
+def test_traced_chain_records_every_span_and_count_the_benchmark_reads(tmp_path, monkeypatch):
+    """Every stage, each stats mode, mine, predict with both model kinds and
+    demographics included: a handler that looks a stage function up where the
+    tracer does not wrap it fails here, not only in the benchmark's smoke run."""
+    from crimeminer import cli
+    from test_byte_identity import chain, load_feeds
+
+    harness = load_harness()
+    feed = tmp_path / "feed"
+    manifest = load_feeds().generate("denver", 1000, 5, feed)
+    steps = chain("denver", feed, manifest["exclude"])
+    # As in the benchmark, an untraced pass first: a name bound at import
+    # time then holds the unwrapped function.
+    for pass_dir in ("plain", "traced"):
+        (tmp_path / pass_dir).mkdir()
+    monkeypatch.chdir(tmp_path / "plain")
+    for argv in steps:
+        assert cli.main(argv) == 0, argv
+    monkeypatch.chdir(tmp_path / "traced")
+    run = tracer.Tracer("test")
+    with run.instrument():
+        for argv in steps:
+            with run.span("cli.main", stage=argv[0]):
+                assert cli.main(argv) == 0, argv
+
+    spanned = {s.name for s in run.spans}
+    assert set(harness.SPANNED) <= spanned, sorted(set(harness.SPANNED) - spanned)
+    counted = {}
+    for span in run.spans:
+        for name, (calls, _) in span.counted.items():
+            counted[name] = counted.get(name, 0) + calls
+    assert set(harness.PER_RECORD) == {"apriori.record_transaction", "classify.nb_predict", "classify.dt_predict"}
+    assert all(counted.get(name, 0) > 0 for name in harness.PER_RECORD), counted
+    stages = [s for s in run.spans if s.name == "cli.main"]
+    reads = [s for s in run.spans if s.name == "preprocess.read_unified_jsonl"]
+    assert len(reads) == sum(s.attrs["stage"] not in ("ingest", "preprocess", "predict") for s in stages)
