@@ -1,19 +1,18 @@
 """Level-wise frequent-itemset mining and constrained hotspot extraction.
 
-The miner is generic over hashable, mutually ordered items: candidates of
-size k are joined from frequent (k-1)-itemsets sharing a (k-2)-prefix in the
-items' natural order, pruned by the anti-monotone support property, and
-counted in one pass per level through a hash lookup (Agrawal & Srikant,
-VLDB 1994). Level 2 counts only the pairs of frequent items that occur in a
-transaction: the join would take every pair of frequent items, and any
-other pair counts 0. From level 3 the prune looks up only the subsets that
-drop a prefix item, as the other two are the joined sets. An itemset is
-frequent when ``count / n_transactions >= min_sup`` (inclusive).
+The miner is generic over hashable, mutually ordered items. Every subset of
+a frequent k-set is frequent (the anti-monotone property of Agrawal &
+Srikant, VLDB 1994), so each item of a frequent k-set is in a frequent
+(k-1)-set. Each level k >= 2 therefore counts the k-sets that occur among
+those items of each transaction and keeps the ones at ``min_sup``: one
+counting rule, with no candidate join or prune. An itemset is frequent when
+``count / n_transactions >= min_sup`` (inclusive). A level holds one count
+per distinct occurring k-set, at most C(t, k) per distinct transaction of t
+kept items: one per transaction at level 3 of hotspot mining.
 
-Inside the miner an itemset is the sorted tuple of its items, so a join is a
-tuple concatenation and a count is a lookup of each ``combinations`` tuple of a
-sorted transaction; a level becomes frozensets only when it is stored in
-``MiningRun.itemsets``.
+Inside the miner an itemset is the sorted tuple of its items, the
+``combinations`` of a sorted transaction; a level becomes frozensets only
+when it is stored in ``MiningRun.itemsets``.
 
 Hotspot mining counts the records of each distinct (location, day, time)
 triple and builds one transaction of three tagged items -- (location, L),
@@ -26,7 +25,7 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
-from itertools import combinations, groupby, repeat
+from itertools import combinations, repeat
 from operator import itemgetter
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence, TextIO
 
@@ -74,17 +73,6 @@ class MiningRun(NamedTuple):
         return found
 
 
-def support(itemset: Iterable[Item], transactions: Sequence[frozenset]) -> tuple[float, int]:
-    """Fraction and absolute count of transactions containing every item."""
-    items = frozenset(itemset)
-    if not items:
-        raise ValueError("itemset must be nonempty")
-    if not transactions:
-        raise CrimeMinerError("support is undefined over zero transactions")
-    count = sum(1 for t in transactions if items <= t)
-    return count / len(transactions), count
-
-
 def __getattr__(name: str):
     # Unused here (it loads ``logging``): kept only for ``perfbench/tracer.py``, which
     # swaps it in its traced run, until ROADMAP item 1's benchmark change drops it.
@@ -94,56 +82,15 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _generate_candidates(frequent: Iterable[tuple]) -> list[tuple]:
-    """Join frequent (k-1)-itemsets, given as sorted tuples, on a shared
-    (k-2)-prefix, then prune; the candidates are sorted k-tuples, in order.
-
-    A candidate ``prefix + (a, b)`` joins ``prefix + (a,)`` and
-    ``prefix + (b,)``, both frequent, so the prune checks only the subsets
-    that drop one prefix item: ``b`` must follow ``drop + (a,)`` in a
-    frequent set for each such ``drop``. Level 2 has no prefix to drop, and
-    ``mine_frequent`` counts it with ``_count_pairs`` instead.
-    """
-    followers = {prefix: [t[-1] for t in group] for prefix, group in groupby(sorted(frequent), key=lambda t: t[:-1])}
-    follower_sets = {prefix: set(items) for prefix, items in followers.items()}
-    candidates: list[tuple] = []
-    for prefix, items in followers.items():
-        drops = [prefix[:i] + prefix[i + 1:] for i in range(len(prefix))]
-        for i, a in enumerate(items):
-            later = items[i + 1:]
-            for drop in drops:
-                allowed = follower_sets.get(drop + (a,), ())
-                later = [b for b in later if b in allowed]
-            candidates += (prefix + (a, b) for b in later)
-    return candidates
-
-
-def _count_candidates(
-    candidates: Sequence[tuple],
-    weighted: Sequence[tuple[tuple, int]],
-    k: int,
-) -> dict[tuple, int]:
-    """Count each candidate over sorted transactions with multiplicities; the
-    ``combinations`` of a sorted tuple are sorted, so they are looked up as is."""
-    counts = dict.fromkeys(candidates, 0)
-    for transaction, multiplicity in weighted:
-        for combo in combinations(transaction, k):
-            if combo in counts:
-                counts[combo] += multiplicity
-    return counts
-
-
-def _count_pairs(frequent: Iterable[tuple], weighted: Sequence[tuple[tuple, int]]) -> dict[tuple, int]:
-    """Level 2: the count of each pair of ``frequent`` items (1-tuples) that
-    occurs in a sorted transaction, keyed in sorted order. This equals
-    counting the join of every such pair, as a pair that occurs nowhere
-    counts 0, and it holds no entry for those."""
-    keep = {item for (item,) in frequent}
+def _count_occurring(frequent: Iterable[tuple], weighted: Sequence[tuple[tuple, int]], k: int) -> Counter:
+    """The count of each k-set of items of the ``frequent`` (k-1)-sets that
+    occurs in a sorted transaction with multiplicity, keyed by its sorted tuple."""
+    keep = {item for itemset in frequent for item in itemset}
     counts: Counter = Counter()
     for transaction, multiplicity in weighted:
-        for pair in combinations([item for item in transaction if item in keep], 2):
-            counts[pair] += multiplicity
-    return {pair: counts[pair] for pair in sorted(counts)}
+        for itemset in combinations([item for item in transaction if item in keep], k):
+            counts[itemset] += multiplicity
+    return counts
 
 
 def mine_frequent(
@@ -180,14 +127,9 @@ def mine_frequent(
     k = 1
     while current and (max_size is None or k < max_size):
         k += 1
-        # Only the frequent sets outlive their level: the candidates and their
-        # counts are dropped before the next join.
-        if k == 2:
-            counts = _count_pairs(current, weighted)
-        else:
-            counts = _count_candidates(_generate_candidates(current), weighted, k)
-        current = {s: c for s, c in counts.items() if c / n >= min_sup}
-        del counts
+        counts = _count_occurring(current, weighted, k)
+        current = dict(sorted((s, c) for s, c in counts.items() if c / n >= min_sup))
+        del counts  # only the frequent sets outlive their level
         itemsets[k] = level_entry(current)
     return MiningRun(min_sup, n, itemsets, [])
 
@@ -208,9 +150,10 @@ _TRIPLE = itemgetter(4, 2, 3)  # a record's (location, day, time)
 def mine_hotspot_patterns(dataset: Sequence[UnifiedCrimeRecord], min_sup: float) -> MiningRun:
     """Mine (location, day, time) triples with support at least ``min_sup``.
 
-    Levels 1 and 2 are still computed for pruning. Every frequent size-3
-    itemset is contained in, so equal to, some record's transaction, and
-    holds one item per tag; these become the patterns, sorted by location,
+    Levels 1 and 2 are still computed: level 3 counts only their items, and
+    the summary lists their sizes. Every frequent size-3 itemset is
+    contained in, so equal to, some record's transaction, and holds one
+    item per tag; these become the patterns, sorted by location,
     weekday order, then time-bin order. Each distinct triple's transaction is
     built once, of items shared with the other transactions, and the list
     handed to ``mine_frequent`` repeats it once per record that has the

@@ -242,4 +242,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # ``python -m crimeminer.cli`` runs this file as ``__main__``, apart from the
+    # ``crimeminer.cli`` whose ``UsageError`` the handlers raise: run that one's ``main``.
+    from . import cli
+    sys.exit(cli.main())

@@ -14,39 +14,16 @@ from conftest import datasets, exhaustive_frequent, make_record
 from crimeminer import apriori
 from crimeminer.apriori import (
     FrequentPattern,
-    _generate_candidates,
     mine_frequent,
     mine_hotspot_patterns,
     record_transaction,
     run_summary_dict,
-    support,
     write_patterns_csv,
 )
 from crimeminer.errors import CrimeMinerError
 from crimeminer.vocab import WEEKDAY_NAMES
 
 ABC = [frozenset("abc"), frozenset("ab"), frozenset("ac"), frozenset("bc"), frozenset("abc")]
-
-
-class TestSupport:
-    def test_singleton(self):
-        transactions = [frozenset("a"), frozenset("b"), frozenset("ab"), frozenset("c")]
-        assert support({"a"}, transactions) == (0.5, 2)
-
-    def test_triple_over_five_transactions(self):
-        # brute count: {a,b,c} is contained in the two "abc" transactions only
-        assert support({"a", "b", "c"}, ABC) == (0.4, 2)
-
-    def test_full_transaction_identity(self):
-        assert support({"x", "y"}, [frozenset("xy")]) == (1.0, 1)
-
-    def test_empty_itemset_rejected(self):
-        with pytest.raises(ValueError):
-            support(set(), ABC)
-
-    def test_empty_transactions_rejected(self):
-        with pytest.raises(CrimeMinerError, match="support is undefined over zero transactions"):
-            support({"a"}, [])
 
 
 class TestMineFrequent:
@@ -126,27 +103,6 @@ class TestOracleEquivalence:
             assert {s: (stat.count, stat.support) for s, stat in level.items()} == {
                 s: (count, count / len(transactions)) for s, count in wanted.items()}
 
-    @given(st.lists(st.tuples(st.sampled_from("abcdefgh"), st.sampled_from(WEEKDAY_NAMES),
-                              st.sampled_from(["T1", "T2", "T3", "T4", "T5", "T6"])), min_size=1, max_size=40),
-           st.sampled_from([0.01, 0.05, 0.1, 0.25]))
-    @example([("a", "Monday", "T1"), ("b", "Friday", "T6")], 0.5).via("frequent items that never meet")
-    def test_level_two_counts_the_pairs_that_occur_as_the_join_would(self, triples, min_sup):
-        """Hotspot-shaped transactions hold one item per tag, so most pairs of
-        frequent items (two values of a tag, or values that never meet) never
-        occur: level 2 keeps no entry for them and still equals the oracle."""
-        transactions = [{("location", loc), ("day", day), ("time", time)} for loc, day, time in triples]
-        run = mine_frequent(transactions, min_sup, max_size=3)
-        expected = exhaustive_frequent(transactions, min_sup, max_size=3)
-        for size, level in run.itemsets.items():
-            wanted = {itemset: count for itemset, count in expected.items() if len(itemset) == size}
-            assert list(level) == sorted(wanted, key=sorted)
-            assert {s: stat.count for s, stat in level.items()} == wanted
-        frequent = [tuple(itemset) for itemset in run.itemsets[1]]
-        weighted = [(tuple(sorted(t)), 1) for t in transactions]
-        occurring = {pair for row, _ in weighted for pair in combinations(row, 2)
-                     if all((item,) in frequent for item in pair)}
-        assert list(apriori._count_pairs(frequent, weighted)) == sorted(occurring)
-
     def test_counting_never_looks_up_the_thread_pool(self, monkeypatch):
         # The module's ThreadPoolExecutor exists only for the benchmark's
         # traced run to swap; mining counts serially and must not touch it.
@@ -162,32 +118,33 @@ class TestOracleEquivalence:
         assert (mine_frequent(transactions, 0.3), mine_hotspot_patterns(dataset, 0.05)) == expected
 
 
-def brute_force_candidates(family, size):
-    """Every (size+1)-set whose size-subsets are all in ``family``."""
-    universe = sorted({item for itemset in family for item in itemset})
-    return {frozenset(c) for c in combinations(universe, size + 1)
-            if all(frozenset(s) in family for s in combinations(c, size))}
+generic_transactions = st.lists(st.lists(st.sampled_from("abcdef"), max_size=6), min_size=1, max_size=12)
+# One item per tag, as hotspot mining builds them: most pairs of frequent items
+# (two values of a tag, or values that never meet) occur in no transaction.
+hotspot_transactions = st.lists(
+    st.tuples(st.sampled_from("abcdefgh"), st.sampled_from(WEEKDAY_NAMES),
+              st.sampled_from(["T1", "T2", "T3", "T4", "T5", "T6"])), min_size=1, max_size=40,
+).map(lambda triples: [{("location", loc), ("day", day), ("time", time)} for loc, day, time in triples])
 
 
-same_size_families = st.integers(1, 4).flatmap(lambda size: st.tuples(
-    st.just(size), st.sets(st.frozensets(st.integers(0, 7), min_size=size, max_size=size), max_size=30)))
-
-
-class TestJoin:
-    @given(same_size_families)
-    def test_candidates_equal_the_brute_force_oracle(self, sized_family):
-        size, family = sized_family
-        candidates = _generate_candidates([tuple(sorted(s)) for s in family])
-        assert len(candidates) == len(set(candidates))
-        assert all(list(c) == sorted(c) for c in candidates)
-        assert candidates == sorted(candidates)
-        assert set(map(frozenset, candidates)) == brute_force_candidates(family, size)
-
-    def test_prune_drops_a_join_missing_a_prefix_subset(self):
-        # (1,2,3) and (1,2,4) join to (1,2,3,4), but (2,3,4) is not frequent.
-        family = [(1, 2, 3), (1, 2, 4), (1, 3, 4)]
-        assert _generate_candidates(family) == []
-        assert _generate_candidates(family + [(2, 3, 4)]) == [(1, 2, 3, 4)]
+class TestOneCounter:
+    @given(hotspot_transactions | generic_transactions, st.sampled_from([0.01, 0.05, 0.1, 0.25, 0.34, 0.5]))
+    @example([{("location", "a"), ("day", "Monday"), ("time", "T1")},
+              {("location", "b"), ("day", "Friday"), ("time", "T6")}], 0.5).via("frequent items that never meet")
+    @example([["a", "b", "c"], ["a", "b"], ["a", "c"], ["b", "c"]], 0.5).via("a 3-set of frequent pairs, 1 of 4")
+    def test_each_level_counts_the_occurring_sets_of_frequent_items(self, transactions, min_sup):
+        """Level k counts exactly the k-sets that occur among the items of the
+        frequent (k-1)-sets, each by brute force, and keeps those at min_sup."""
+        run = mine_frequent(transactions, min_sup)
+        weighted = [(tuple(sorted(t)), m) for t, m in Counter(map(frozenset, transactions)).items()]
+        for k in list(run.itemsets)[1:]:
+            frequent = [tuple(sorted(itemset)) for itemset in run.itemsets[k - 1]]
+            kept = {item for itemset in frequent for item in itemset}
+            occurring = {c for t in transactions for c in combinations(sorted(set(t) & kept), k)}
+            counts = apriori._count_occurring(frequent, weighted, k)
+            assert dict(counts) == {c: sum(set(c) <= set(t) for t in transactions) for c in occurring}
+            assert [tuple(sorted(s)) for s in run.itemsets[k]] == sorted(
+                c for c, count in counts.items() if count / len(transactions) >= min_sup)
 
 
 def assert_mining_invariants(run):

@@ -284,6 +284,18 @@ class TestExitCodes:
              "--attribute", "day", "--rows", "type", "--cols", "day"]
         ) == 1
 
+    @pytest.mark.parametrize("raised_by", ["handler", "config"])
+    def test_usage_error_under_python_dash_m_is_one_line(self, tmp_path, raised_by):
+        """``python -m crimeminer.cli`` runs ``cli.py`` as ``__main__``, but the
+        ``UsageError`` of a handler or of ``cli_config`` is ``crimeminer.cli``'s."""
+        (tmp_path / "c.json").write_text('{"bogus": 1}', encoding="utf-8")
+        extra = {"handler": ["--rows", "time", "--cols", "day"], "config": ["--config", str(tmp_path / "c.json")]}
+        done = run_cli(["stats", "--dataset", FIXTURE, "--attribute", "time", *extra[raised_by]],
+                       capture_output=True, text=True)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("usage error: ") and done.stderr.count("\n") == 1, done.stderr
+
     def test_missing_input_file_is_data_error(self, tmp_path):
         assert main(
             ["ingest", "--schema", "denver", "--input", str(tmp_path / "nope.csv"),
