@@ -1,6 +1,7 @@
 """Frequent-itemset mining: exact examples, oracle equivalence, invariants."""
 
 import io
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -145,6 +146,31 @@ class TestOneCounter:
             assert dict(counts) == {c: sum(set(c) <= set(t) for t in transactions) for c in occurring}
             assert [tuple(sorted(s)) for s in run.itemsets[k]] == sorted(
                 c for c, count in counts.items() if count / len(transactions) >= min_sup)
+
+    @given(hotspot_transactions | generic_transactions, st.sampled_from([0.01, 0.05, 0.1, 0.25, 0.34, 0.5]))
+    def test_a_counted_set_with_an_infrequent_subset_stays_below_min_sup(self, transactions, min_sup):
+        """No subset check is needed: a counted k-set whose (k-1)-subset is not
+        frequent occurs at most as often as that subset, so it is never kept."""
+        run = mine_frequent(transactions, min_sup)
+        weighted = [(tuple(sorted(t)), m) for t, m in Counter(map(frozenset, transactions)).items()]
+        for k in list(run.itemsets)[1:]:
+            frequent = {tuple(sorted(itemset)) for itemset in run.itemsets[k - 1]}
+            for itemset, count in apriori._count_occurring(frequent, weighted, k).items():
+                if not all(subset in frequent for subset in combinations(itemset, k - 1)):
+                    assert count / len(transactions) < min_sup
+
+    @given(hotspot_transactions | generic_transactions, st.sampled_from([0.01, 0.1, 0.34]))
+    def test_a_level_holds_at_most_the_kept_k_sets_of_each_distinct_transaction(self, transactions, min_sup):
+        """The occurrence bound of the module docstring: at most C(t, k) counts
+        per distinct transaction of t kept items, one at level 3 of a hotspot run."""
+        run = mine_frequent(transactions, min_sup)
+        weighted = [(tuple(sorted(t)), m) for t, m in Counter(map(frozenset, transactions)).items()]
+        for k in list(run.itemsets)[1:]:
+            kept = {item for itemset in run.itemsets[k - 1] for item in itemset}
+            counts = apriori._count_occurring([tuple(sorted(s)) for s in run.itemsets[k - 1]], weighted, k)
+            assert len(counts) <= sum(math.comb(len(kept.intersection(t)), k) for t, _ in weighted)
+            if k == 3 and all(len(t) == 3 for t, _ in weighted):  # a hotspot run's transactions
+                assert len(counts) <= len(weighted)
 
 
 def assert_mining_invariants(run):

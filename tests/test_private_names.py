@@ -1,6 +1,7 @@
 """Every private module-level name in the package is used somewhere in it."""
 
 import ast
+import textwrap
 from pathlib import Path
 
 import crimeminer
@@ -37,9 +38,46 @@ def _used(tree: ast.Module) -> set[str]:
     return used
 
 
-def test_every_private_module_level_name_is_used_in_src():
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
-    # A name counts as used when any module reads it, imports it by name or
-    # looks it up as an attribute; its definition alone is not a use.
+def _unused(sources: dict[str, str]) -> set[str]:
+    """``module:name`` of each private module-level name that no module uses.
+
+    A name counts as used when any module reads it, imports it by name or
+    looks it up as an attribute; its definition alone is not a use.
+    """
+    trees = {module: ast.parse(textwrap.dedent(source)) for module, source in sources.items()}
     used = set().union(*map(_used, trees.values()))
-    assert {f"{module}:{name}" for module, tree in trees.items() for name in _defined(tree) - used} == set()
+    return {f"{module}:{name}" for module, tree in trees.items() for name in _defined(tree) - used}
+
+
+def test_every_private_module_level_name_is_used_in_src():
+    assert _unused({path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}) == set()
+
+
+def test_a_dead_private_helper_is_reported():
+    assert _unused({"apriori.py": """
+        def _count_occurring(frequent, weighted, k):
+            return {}
+
+        def _count_pairs(frequent, weighted):
+            return {}
+
+        def mine_frequent(transactions):
+            return _count_occurring([], [], 2)
+    """}) == {"apriori.py:_count_pairs"}
+
+
+def test_an_import_or_attribute_lookup_in_another_module_is_a_use():
+    assert _unused({
+        "errors.py": "_ONE = 1\n_TWO = 2\n_THREE: int = 3\n",
+        "cli.py": "from .errors import _ONE\nfrom . import errors\nprint(errors._TWO)\n",
+    }) == {"errors.py:_THREE"}
+
+
+def test_dunder_and_public_names_are_not_checked():
+    assert _unused({"apriori.py": """
+        def __getattr__(name):
+            raise AttributeError(name)
+
+        def mine_frequent(transactions):
+            return transactions
+    """}) == set()
