@@ -14,11 +14,11 @@ Inside the miner an itemset is the sorted tuple of its items, the
 ``combinations`` of a sorted transaction; a level becomes frozensets only
 when it is stored in ``MiningRun.itemsets``.
 
-Hotspot mining counts the records of each distinct (location, day, time)
-triple and builds one transaction of three tagged items -- (location, L),
-(day, D), (time, T) -- per triple, so no object is built per record, and
-the transactions share one tuple per distinct item. It reports the frequent
-size-3 itemsets, each of which is one triple's whole transaction.
+Hotspot mining counts each distinct (location, day, time) triple over three
+columns and builds one transaction of tagged items -- (location, L), (day,
+D), (time, T) -- per triple, sharing one tuple per distinct item, so no
+object is built per record. The miner counts levels 1 and 2; level 3 is the
+frequent triples of that count, each 3-set being a whole transaction.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from itertools import combinations, repeat
-from operator import itemgetter
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 from .errors import CrimeMinerError
+from .table import as_table
 from .vocab import TIME_RANK, WEEKDAY_RANK, UnifiedCrimeRecord, round_half_up
 
 Item = Hashable
@@ -144,29 +144,36 @@ def record_transaction(record: UnifiedCrimeRecord, items: dict | None = None) ->
     return frozenset(tagged)
 
 
-_TRIPLE = itemgetter(4, 2, 3)  # a record's (location, day, time)
+_TRIPLE = ("location", "day", "time")  # the fields a transaction reads
 
 
 def mine_hotspot_patterns(dataset: Sequence[UnifiedCrimeRecord], min_sup: float) -> MiningRun:
     """Mine (location, day, time) triples with support at least ``min_sup``.
 
-    Levels 1 and 2 are still computed: level 3 counts only their items, and
-    the summary lists their sizes. Every frequent size-3 itemset is
-    contained in, so equal to, some record's transaction, and holds one
-    item per tag; these become the patterns, sorted by location,
-    weekday order, then time-bin order. Each distinct triple's transaction is
-    built once, of items shared with the other transactions, and the list
-    handed to ``mine_frequent`` repeats it once per record that has the
-    triple: one list slot per record, no object.
+    Levels 1 and 2 come from ``mine_frequent``. Level 3, as the loop would
+    count it when level 2 is non-empty, is the frequent triples: a 3-set
+    holds one item per tag, so it occurs only as a whole transaction. They
+    become the patterns, sorted by location, weekday order, then time-bin
+    order. Each triple's transaction is built once, from one of its records,
+    and the list handed to ``mine_frequent`` repeats it once per record that
+    has the triple: one list slot per record, no object.
     """
-    counts = Counter(map(_TRIPLE, dataset))
-    holder = dict(zip(map(_TRIPLE, dataset), dataset))  # a record of each triple
+    table = as_table(dataset)
+    n = len(table)
+    counts = Counter(zip(*map(table.column, _TRIPLE)))
+    rows = dict(zip(zip(*map(table.column, _TRIPLE)), range(n)))  # a row of each triple
     items: dict = {}  # each distinct (tag, value) item, for this call only
     transactions: list[frozenset] = []
+    frequent: list[tuple[tuple, int]] = []
     for triple, count in counts.items():
-        transactions += repeat(record_transaction(holder[triple], items), count)
-    del counts, holder, items  # freed before mining, where the peak is
-    run = mine_frequent(transactions, min_sup, max_size=3)
+        transaction = record_transaction(table[rows[triple]], items)
+        transactions += repeat(transaction, count)
+        if count / n >= min_sup:
+            frequent.append((tuple(sorted(transaction)), count))
+    del counts, rows, items  # freed before mining, where the peak is
+    run = mine_frequent(transactions, min_sup, max_size=2)
+    if run.itemsets.get(2):
+        run.itemsets[3] = {frozenset(s): ItemsetSupport(c, c / n) for s, c in sorted(frequent)}
     patterns: list[FrequentPattern] = []
     for itemset, stat in run.itemsets.get(3, {}).items():
         by_tag = dict(itemset)

@@ -3,8 +3,9 @@
 Subcommands: ingest, preprocess, stats, mine, train, predict, evaluate,
 demographics. Stages communicate through files (raw/unified JSON Lines,
 JSON models, CSV tables). Exit codes: 0 success, 1 usage error, 2 data
-error. Diagnostics go to stderr; data goes to files or stdout. A run's
-output files appear whole or not at all.
+error, 130 interrupted, 141 an output's reader closed it. Diagnostics go to
+stderr; data goes to files or stdout. A run's output files appear whole or
+not at all.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from .errors import CrimeMinerError
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a process the signal ended
+EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE
 
 
 class UsageError(Exception):
@@ -230,8 +233,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse(argv)
         _write_outputs(args.handler(args))
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
         if args.warning:
             print(f"warning: {args.warning}", file=sys.stderr)
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
+    except BrokenPipeError:  # the reader of an output is gone (``| head``): nothing to say
+        with contextlib.suppress(OSError, ValueError):  # and what stdout still buffers goes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -241,8 +252,5 @@ def main(argv: list[str] | None = None) -> int:
     return EXIT_OK
 
 
-if __name__ == "__main__":
-    # ``python -m crimeminer.cli`` runs this file as ``__main__``, apart from the
-    # ``crimeminer.cli`` whose ``UsageError`` the handlers raise: run that one's ``main``.
-    from . import cli
-    sys.exit(cli.main())
+if __name__ == "__main__":  # ``python -m crimeminer.cli``: the handlers raise ``crimeminer.cli``'s UsageError,
+    from . import __main__  # noqa: F401 -- so run that module's ``main``, as ``python -m crimeminer`` does

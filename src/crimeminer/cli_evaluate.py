@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import functools
 
-from . import evaluate
+from . import evaluate, training
 from .cli import no_threads, ranged, read_dataset
 
 
@@ -23,7 +23,7 @@ def add_flags(sub: argparse.ArgumentParser) -> None:
 
 def run(args):
     no_threads(args)
-    dataset = read_dataset(args.dataset)
+    dataset = training.Dataset.from_records(read_dataset(args.dataset))  # the table is not kept
     result = evaluate.cross_validate(dataset, args.model, k=args.folds, seed=args.seed, alpha=args.alpha,
                                      max_leaves=args.max_leaves)
     return [(args.output, functools.partial(evaluate.write_cv_result_json, result)),

@@ -25,9 +25,9 @@ def add_flags(sub: argparse.ArgumentParser) -> None:
 def run(args):
     if args.train_fraction == 1.0 and args.eval_report is not None:
         raise UsageError("--eval-report needs --train-fraction < 1.0")
-    dataset = read_dataset(args.dataset)
+    dataset = training.Dataset.from_records(read_dataset(args.dataset))  # the table is not kept
     if args.train_fraction == 1.0:
-        train, test = list(dataset), []
+        train, test = dataset, []
     else:
         spec = training.SplitSpec(train_fraction=args.train_fraction, seed=args.seed)
         train, test = classify.split_train_test(dataset, spec)  # through ``classify``, for the tracer

@@ -10,13 +10,13 @@ from __future__ import annotations
 import csv
 import difflib
 import json
-from collections import Counter
 from typing import Mapping, NamedTuple, Sequence, TextIO
 
 from .errors import CrimeMinerError, UnmatchedNeighborhoodError
 # ``demographics`` loads the table through ``demographics.load_demographics_csv``, where
 # ``perfbench/tracer.py`` wraps it.
 from .demographics_csv import DemographicsRecord, load_demographics_csv  # noqa: F401
+from .table import as_table
 from .vocab import UnifiedCrimeRecord
 
 
@@ -30,8 +30,7 @@ def crime_rate_by_location(dataset: Sequence[UnifiedCrimeRecord]) -> list[Neighb
     """Per-location crime counts and shares, descending with alphabetical ties."""
     if not dataset:
         raise CrimeMinerError("cannot rank locations of an empty dataset")
-    counts = Counter(r.location for r in dataset)
-    total = len(dataset)
+    counts, total = as_table(dataset).counts("location")
     return [
         NeighborhoodCrimeRate(name, count, count / total)
         for name, count in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))

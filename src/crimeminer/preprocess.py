@@ -11,7 +11,6 @@ import functools
 import json
 import re
 from importlib import resources
-from itertools import repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO
 
@@ -25,6 +24,7 @@ if TYPE_CHECKING:
     import datetime as dt
 
     from .rawjsonl import RawCrimeRecord
+    from .table import UnifiedTable
 
 
 def __getattr__(name: str):
@@ -238,9 +238,9 @@ _TYPE_HOUR_TEXTS = {
 _BLOCK_CHARS = 1 << 16  # lines read and matched at a time
 
 
-def _template_records(days, hours, places, months, types, year_texts, years: dict, locations: dict) -> list | None:
-    """The records of template lines' groups when each value is known, else
-    None. ``years`` and ``locations`` hold each text already checked, with its value."""
+def _template_columns(days, hours, places, months, types, year_texts, years: dict, locations: dict) -> tuple | None:
+    """The field columns of template lines' groups when each value is known,
+    else None. ``years`` and ``locations`` hold each text already checked, with its value."""
     for text in set(year_texts).difference(years):
         years[text] = int(text)
     for text in set(places).difference(locations):
@@ -249,21 +249,21 @@ def _template_records(days, hours, places, months, types, year_texts, years: dic
         locations[text] = text
     try:
         categories, bins, hours = zip(*map(_TYPE_HOUR_TEXTS.__getitem__, zip(types, hours)))
-        return list(map(_new, repeat(UnifiedCrimeRecord), zip(
-            categories, map(_MONTHS.__getitem__, months), map(_DAYS.__getitem__, days), bins,
-            map(locations.__getitem__, places), map(years.__getitem__, year_texts), hours)))
+        return (categories, list(map(_MONTHS.__getitem__, months)), list(map(_DAYS.__getitem__, days)), bins,
+                list(map(locations.__getitem__, places)), list(map(years.__getitem__, year_texts)), hours)
     except KeyError:
         return None
 
 
-def read_jsonl_blocks(fp: TextIO, template: re.Pattern, build: Callable[..., list | None],
-                      decode: Callable[[object], object], kind: str) -> list:
-    """What ``read_jsonl`` with ``decode`` gives for ``fp``: the same records
-    or the same error. Blocks of about ``_BLOCK_CHARS`` characters are read.
-    When each line of a block matches a writer's ``template``, ``build`` gives
-    the records of its group columns, or None; any other block (a blank line,
-    an escaped string, a CRLF ending) goes through ``read_jsonl`` with its
-    true line numbers.
+def read_jsonl_blocks(fp: TextIO, template: re.Pattern, build: Callable[..., tuple | None],
+                      decode: Callable[[object], object], kind: str,
+                      project: Callable[[list], tuple]) -> tuple[list, ...]:
+    """What ``read_jsonl`` with ``decode`` gives for ``fp``, as the columns that
+    ``project`` makes of those records: the same values or the same error.
+    Blocks of about ``_BLOCK_CHARS`` characters are read. When each line of
+    a block matches a writer's ``template``, ``build`` gives the columns of
+    its groups, or None; any other block (a blank line, an escaped string, a
+    CRLF ending) goes through ``read_jsonl`` with its true line numbers.
 
     Why the counts suffice: a template matches only from the start of a line
     (``^``) to its end (``$``), and neither its text nor any group can match
@@ -274,7 +274,7 @@ def read_jsonl_blocks(fp: TextIO, template: re.Pattern, build: Callable[..., lis
     once, in sorted order, each value of its written type; ``build`` makes
     the checks of ``decode`` that this leaves.
     """
-    records, first_line = [], 1
+    columns, first_line = project([]), 1
     while lines := fp.readlines(_BLOCK_CHARS):
         block = "".join(lines)
         n_lines = len(lines)
@@ -284,16 +284,20 @@ def read_jsonl_blocks(fp: TextIO, template: re.Pattern, build: Callable[..., lis
             taken = build(*zip(*rows)) if len(rows) == n_lines else None
             del rows  # not held while the next block is read
         if taken is None:
-            taken = read_jsonl(lines, decode, kind, first_line)
-        records += taken
+            taken = project(read_jsonl(lines, decode, kind, first_line))
+        for column, part in zip(columns, taken):
+            column += part
         first_line += n_lines
-    return records
+    return columns
 
 
-def read_unified_jsonl(fp: TextIO) -> list[UnifiedCrimeRecord]:
-    """What ``read_jsonl`` with ``unified_from_json_dict`` gives, reading blocks
-    of written lines against ``_TEMPLATE``, whose lookups then accept only the
-    written vocabulary and pairs, a JSON integer year and a non-empty, unpadded
-    location. Each distinct location is kept as one string."""
-    build = functools.partial(_template_records, years={}, locations={})
-    return read_jsonl_blocks(fp, _TEMPLATE, build, unified_from_json_dict, "unified")
+def read_unified_jsonl(fp: TextIO) -> UnifiedTable:
+    """What ``read_jsonl`` with ``unified_from_json_dict`` gives, as a table of
+    field columns, reading blocks of written lines against ``_TEMPLATE``, whose
+    lookups then accept only the written vocabulary and pairs, a JSON integer
+    year and a non-empty, unpadded location. Each distinct location is kept as
+    one string, and no record is built."""
+    from .table import UnifiedTable, as_table  # loaded here: ``preprocess`` itself reads no table
+    build = functools.partial(_template_columns, years={}, locations={})
+    return UnifiedTable(read_jsonl_blocks(fp, _TEMPLATE, build, unified_from_json_dict, "unified",
+                                          lambda records: as_table(records).columns))

@@ -130,13 +130,13 @@ _JSON_FLAGS = {"true": True, "false": False, "null": None}
 
 
 def _raw_template_records(categories, date_texts, flags, places, source_rows, clock_texts,
-                          dates: Memo, clocks: Memo, texts: Memo) -> list | None:
-    """The records of template lines' groups, or None when a date or clock is not real."""
+                          dates: Memo, clocks: Memo, texts: Memo) -> tuple[list] | None:
+    """The records of template lines' groups, as one column, or None when a date or clock is not real."""
     try:
-        return list(map(_new, repeat(RawCrimeRecord), zip(
+        return (list(map(_new, repeat(RawCrimeRecord), zip(
             map(texts.__getitem__, categories), map(dates.__getitem__, date_texts),
             map(clocks.__getitem__, clock_texts), map(texts.__getitem__, places),
-            map(_JSON_FLAGS.__getitem__, flags), map(int, source_rows))))
+            map(_JSON_FLAGS.__getitem__, flags), map(int, source_rows)))),)
     except ValueError:
         return None
 
@@ -149,4 +149,5 @@ def read_raw_jsonl(fp: TextIO) -> list[RawCrimeRecord]:
     clocks = Memo(_written_clock)
     clocks[""] = None  # the template's null
     build = functools.partial(_raw_template_records, dates=Memo(_written_date), clocks=clocks, texts=Memo(str))
-    return read_jsonl_blocks(fp, re.compile(_RAW_TEMPLATE, re.M), build, raw_from_json_dict, "raw")
+    return read_jsonl_blocks(fp, re.compile(_RAW_TEMPLATE, re.M), build, raw_from_json_dict, "raw",
+                             lambda records: (records,))[0]

@@ -1,17 +1,19 @@
 """Frequency and cross-tabulation summaries over the unified dataset.
 
-Every operation counts records, optionally restricted to one year, and emits
-plot-ready tables. Percentages are computed in full precision and rounded
-half-up to two decimals only when written to CSV.
+Every operation counts the columns it names (``table.UnifiedTable.counts``),
+optionally restricted to one year, and emits plot-ready tables. Percentages
+are computed in full precision and rounded half-up to two decimals only when
+written to CSV.
 """
 
 from __future__ import annotations
 
 import csv
 from collections import Counter
-from typing import Iterable, NamedTuple, Sequence, TextIO
+from typing import NamedTuple, Sequence, TextIO
 
 from .errors import CrimeMinerError
+from .table import as_table
 from .vocab import ATTRIBUTES, UnifiedCrimeRecord, round_half_up
 
 CATEGORICAL_ATTRIBUTES = tuple(ATTRIBUTES)
@@ -65,12 +67,6 @@ def _check_attribute(attribute: str) -> None:
         )
 
 
-def _year_filtered(dataset: Iterable[UnifiedCrimeRecord], year: int | None) -> list[UnifiedCrimeRecord]:
-    if year is None:
-        return list(dataset)
-    return [r for r in dataset if r.year == year]
-
-
 def _ordered_values(attribute: str, counts: Counter) -> list[str]:
     order = ATTRIBUTES[attribute].order
     if order is not None:
@@ -85,12 +81,9 @@ def frequency_table(
 ) -> FrequencyTable:
     """Count distinct values of one attribute, optionally for a single year."""
     _check_attribute(attribute)
-    records = _year_filtered(dataset, year_filter)
-    total = len(records)
+    counts, total = as_table(dataset).counts(attribute, year=year_filter)
     if total == 0:
         return FrequencyTable(attribute, (), 0, year_filter)
-    extract = ATTRIBUTES[attribute].read
-    counts = Counter(extract(r) for r in records)
     rows = tuple(
         FrequencyRow(v, counts[v], 100.0 * counts[v] / total)
         for v in _ordered_values(attribute, counts)
@@ -109,9 +102,7 @@ def crosstab(
     _check_attribute(col_attribute)
     if row_attribute == col_attribute:
         raise ValueError("row and column attributes must differ")
-    records = _year_filtered(dataset, year_filter)
-    pair_counts = Counter(zip(map(ATTRIBUTES[row_attribute].read, records),
-                              map(ATTRIBUTES[col_attribute].read, records)))
+    pair_counts, total = as_table(dataset).counts(row_attribute, col_attribute, year=year_filter)
     row_counts: Counter = Counter()
     col_counts: Counter = Counter()
     for (rv, cv), n in pair_counts.items():
@@ -122,7 +113,7 @@ def crosstab(
     cells = tuple(
         tuple(pair_counts.get((rv, cv), 0) for cv in col_labels) for rv in row_labels
     )
-    return CrossTab(row_attribute, col_attribute, row_labels, col_labels, cells, len(records), year_filter)
+    return CrossTab(row_attribute, col_attribute, row_labels, col_labels, cells, total, year_filter)
 
 
 def top_and_bottom_locations(

@@ -12,16 +12,14 @@ import math
 import random
 from collections import Counter
 from itertools import compress
-from operator import attrgetter, sub
+from operator import sub
 from typing import Hashable, Mapping, Sequence
 
 from . import classify
 from .classify import CLASSES, FEATURES, NaiveBayesModel
 from .errors import CrimeMinerError
+from .table import UnifiedTable, as_table
 from .vocab import ATTRIBUTES, TIME_BIN_ORDER, CrimeCategory, UnifiedCrimeRecord
-
-_crime_type = attrgetter("crime_type")
-
 
 # --- train/test splitting ----------------------------------------------------
 
@@ -50,6 +48,7 @@ def split_train_test(dataset: Sequence, spec: SplitSpec) -> tuple[list, list]:
 
     The train size is round-half-up(train_fraction * n); both sides keep the
     original dataset order. The same seed always yields the same partition.
+    A ``Dataset`` splits into two of its subsets, any other sequence into lists.
     """
     n = len(dataset)
     if n < 2:
@@ -58,6 +57,8 @@ def split_train_test(dataset: Sequence, spec: SplitSpec) -> tuple[list, list]:
     n_train = math.floor(spec.train_fraction * n + 0.5)
     train_indices = sorted(indices[:n_train])
     test_indices = sorted(indices[n_train:])
+    if isinstance(dataset, Dataset):
+        return dataset.subset(train_indices), dataset.subset(test_indices)
     return [dataset[i] for i in train_indices], [dataset[i] for i in test_indices]
 
 
@@ -92,16 +93,18 @@ class Dataset:
         self._histogram = histogram
 
     @classmethod
-    def from_records(cls, records: Sequence[UnifiedCrimeRecord]) -> "Dataset":
-        labels = list(map(CLASS_INDEX.__getitem__, map(_crime_type, records)))
+    def from_records(cls, records: UnifiedTable | Sequence[UnifiedCrimeRecord]) -> "Dataset":
+        """The encoding of a table's columns; a record list is made a table first."""
+        table = as_table(records)
+        labels = list(map(CLASS_INDEX.__getitem__, table.column("crime_type")))
         values, codes, columns, joint = {}, {}, {}, {}
         for feature in FEATURES:
-            raw = list(map(attrgetter(feature), records))  # time: the ``TimeBin`` members
+            raw = table.column(feature)  # time: the ``TimeBin`` members
             values[feature] = ATTRIBUTES[feature].order or tuple(sorted(set(raw)))
             codes[feature] = {v: i for i, v in enumerate(values[feature])}
             columns[feature] = list(map(_MEMBER_CODES.get(feature, codes[feature]).__getitem__, raw))
             joint[feature] = [v * N_CLASSES + c for v, c in zip(columns[feature], labels)]
-        return cls(values, codes, columns, labels, joint, list(range(len(records))))
+        return cls(values, codes, columns, labels, joint, list(range(len(table))))
 
     def __len__(self) -> int:
         return len(self.rows)

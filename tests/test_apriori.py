@@ -6,6 +6,7 @@ import random
 import tracemalloc
 from collections import Counter
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -286,6 +287,29 @@ class TestHotspotMining:
         assert set(triples) == {(r.location, r.day, r.time) for r in dataset}
         assert run == mine_frequent([record_transaction(r) for r in dataset], min_sup, max_size=3)._replace(
             patterns=run.patterns)
+
+    @given(datasets, st.sampled_from([0.01, 0.05, 0.1, 0.3, 0.6, 1.0]))
+    @example([make_record(location="a", day="Monday", hour=1), make_record(location="b", day="Tuesday", hour=5)],
+             1.0)  # level 1 empty
+    @example([make_record(location="a", day="Monday", hour=1), make_record(location="a", day="Tuesday", hour=5)],
+             1.0)  # level 2 empty
+    @example([make_record(location="a", day="Monday", hour=1), make_record(location="a", day="Monday", hour=5)],
+             1.0)  # level 3 empty
+    def test_level_three_is_the_loops_count_in_its_key_order(self, dataset, min_sup):
+        """The miner stops at level 2; level 3, taken from the triple count,
+        is what the loop would count, each level in the same key order."""
+        sizes = []
+
+        def recording(transactions, min_sup, *, max_size=None):
+            sizes.append(max_size)
+            return mine_frequent(transactions, min_sup, max_size=max_size)
+
+        with mock.patch.object(apriori, "mine_frequent", recording):
+            run = mine_hotspot_patterns(dataset, min_sup)
+        loop = mine_frequent([record_transaction(r) for r in dataset], min_sup, max_size=3)
+        assert sizes == [2]
+        assert [(k, list(level.items())) for k, level in run.itemsets.items()] == [
+            (k, list(level.items())) for k, level in loop.itemsets.items()]
 
     def test_absolute_count_thresholds_round_as_expected(self):
         # the documented operating points: fractions are authoritative

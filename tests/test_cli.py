@@ -5,10 +5,12 @@ import copy
 import io
 import json
 import os
+import signal
 import stat
 import subprocess
 import sys
 import tempfile
+import time
 import tokenize
 from pathlib import Path
 
@@ -284,13 +286,14 @@ class TestExitCodes:
              "--attribute", "day", "--rows", "type", "--cols", "day"]
         ) == 1
 
+    @pytest.mark.parametrize("module", ["crimeminer", "crimeminer.cli"])
     @pytest.mark.parametrize("raised_by", ["handler", "config"])
-    def test_usage_error_under_python_dash_m_is_one_line(self, tmp_path, raised_by):
+    def test_usage_error_under_python_dash_m_is_one_line(self, tmp_path, raised_by, module):
         """``python -m crimeminer.cli`` runs ``cli.py`` as ``__main__``, but the
         ``UsageError`` of a handler or of ``cli_config`` is ``crimeminer.cli``'s."""
         (tmp_path / "c.json").write_text('{"bogus": 1}', encoding="utf-8")
         extra = {"handler": ["--rows", "time", "--cols", "day"], "config": ["--config", str(tmp_path / "c.json")]}
-        done = run_cli(["stats", "--dataset", FIXTURE, "--attribute", "time", *extra[raised_by]],
+        done = run_cli(["stats", "--dataset", FIXTURE, "--attribute", "time", *extra[raised_by]], module,
                        capture_output=True, text=True)
         assert done.returncode == 1
         assert "Traceback" not in done.stderr
@@ -715,10 +718,60 @@ class TestWholeOutputs:
         assert capsys.readouterr().out.count("class,precision,recall,f1,support\n") == 1
 
 
-def run_cli(argv: list[str], **kwargs) -> subprocess.CompletedProcess:
-    """``crimeminer argv`` in a fresh interpreter; keyword arguments go to ``subprocess.run``."""
-    return subprocess.run([sys.executable, "-m", "crimeminer.cli", *argv], env=cli_env(), timeout=120,
-                          **kwargs)
+def run_cli(argv: list[str], module: str = "crimeminer", **kwargs) -> subprocess.CompletedProcess:
+    """``python -m module argv`` in a fresh interpreter; keyword arguments go to ``subprocess.run``."""
+    return subprocess.run([sys.executable, "-m", module, *argv], env=cli_env(), timeout=120, **kwargs)
+
+
+class TestStops:
+    """An interrupt ends a run with one line and exit 130; a closed stdout ends it
+    quietly with exit 141. Either way the output files are whole or as they were."""
+
+    CROSSTAB = ["stats", "--dataset", FIXTURE, "--rows", "location", "--cols", "hour"]
+
+    @pytest.mark.parametrize("module", ["crimeminer", "crimeminer.cli"])
+    def test_a_closed_stdout_exits_quietly(self, module):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first byte, as after ``| head -1``
+        try:
+            done = run_cli(self.CROSSTAB, module, stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (cli.EXIT_CLOSED_PIPE, b"")
+
+    def test_sigint_prints_one_line_and_exits_130(self, tmp_path):
+        fifo = tmp_path / "unified.jsonl"
+        os.mkfifo(fifo)
+        child = subprocess.Popen([sys.executable, "-m", "crimeminer", "stats", "--dataset", str(fifo),
+                                  "--attribute", "day"], env=cli_env(), stderr=subprocess.PIPE, text=True)
+        deadline = time.monotonic() + 60
+        while True:  # a writer opens once the child opens the dataset to read, inside ``main``
+            try:
+                writer = os.open(fifo, os.O_WRONLY | os.O_NONBLOCK)
+                break
+            except OSError:  # no reader yet
+                assert child.poll() is None and time.monotonic() < deadline, child.communicate()
+                time.sleep(0.01)
+        try:
+            child.send_signal(signal.SIGINT)
+            _, err = child.communicate(timeout=60)
+        finally:
+            os.close(writer)
+        assert (child.returncode, err) == (cli.EXIT_INTERRUPTED, "interrupted\n")
+
+    def test_an_interrupt_while_writing_leaves_every_target_as_it_was(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "day.csv"
+        out.write_text("earlier\n", encoding="utf-8")
+
+        def interrupted(table, fp):
+            fp.write("value,count,percentage\n")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(stats, "write_frequency_csv", interrupted)
+        assert main(["stats", "--dataset", FIXTURE, "--attribute", "day", "--output", str(out)]) == 130
+        assert capsys.readouterr().err == "interrupted\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["day.csv"]
+        assert out.read_text(encoding="utf-8") == "earlier\n"
 
 
 class TestDescriptorTargets:
@@ -809,7 +862,7 @@ class TestImports:
         assert {"crimeminer.classify", "crimeminer.vocab"} <= loaded
         unwanted = {f"crimeminer.{name}" for name in
                     ("ingestion", "preprocess", "apriori", "stats", "evaluate", "demographics", "growth",
-                     "training", "rawjsonl", "csvrows", "demographics_csv", "cli_config")}
+                     "training", "rawjsonl", "csvrows", "demographics_csv", "cli_config", "table")}
         assert not loaded & (unwanted | {"concurrent.futures"})
 
     def test_no_call_loads_dataclasses(self, pipeline):
@@ -844,6 +897,7 @@ class TestImports:
         for argv in analytic:
             loaded = modules_after(argv)
             assert "crimeminer.preprocess" in loaded and "crimeminer.ingestion" not in loaded, argv[0]
+            assert "crimeminer.table" in loaded, argv[0]
         loaded = modules_after(["ingest", "--schema", "denver", "--input", str(pipeline / "denver.csv"),
                                 "--output", out])
         assert "crimeminer.ingestion" in loaded and "crimeminer.preprocess" not in loaded
@@ -903,6 +957,7 @@ class TestImports:
         loaded = modules_after(["preprocess", "--schema", "denver", "--input", str(pipeline / "raw.jsonl"),
                                 "--output", out])
         assert "crimeminer.rawjsonl" in loaded
+        assert "crimeminer.table" not in loaded  # the columnar read is the analytic stages' alone
         assert not loaded & {"crimeminer.ingestion", "crimeminer.csvrows", "crimeminer.demographics_csv"}
         loaded = modules_after(["demographics", "--dataset", str(pipeline / "unified.jsonl"),
                                 "--demographics", str(pipeline / "demo.csv"), "--top", "2", "--bottom", "2",
