@@ -20,7 +20,7 @@ import json
 import math
 from typing import Mapping, NamedTuple, TextIO, Union
 
-from .vocab import ATTRIBUTES, MONTH_RANK, WEEKDAY_RANK, CrimeCategory, TimeBin, UnifiedCrimeRecord
+from .vocab import ATTRIBUTES, MONTH_RANK, WEEKDAY_RANK, CrimeCategory, TimeBin, UnifiedCrimeRecord, float_sum
 
 FEATURES = ("month", "day", "time", "location")
 
@@ -108,7 +108,7 @@ def _posterior_from_scores(scores: Mapping[CrimeCategory, float]) -> dict[CrimeC
         # unseen values); fall back to a uniform posterior.
         return {c: 1.0 / len(scores) for c in scores}
     weights = {c: math.exp(s - peak) for c, s in scores.items()}
-    total = sum(weights.values())
+    total = float_sum(weights.values())
     return {c: w / total for c, w in weights.items()}
 
 
@@ -249,7 +249,7 @@ def nb_from_json_dict(obj: Mapping) -> NaiveBayesModel:
         alpha=float(_field(obj["alpha"], float, int)),
         classes=classes,
         log_prior=by_class(obj["log_prior"], _load_log),
-        vocab={f: tuple(_field(v, str) for v in vocab[f]) for f in FEATURES},
+        vocab={f: tuple(_field(v, str) for v in _field(vocab[f], list)) for f in FEATURES},
         cond_log={f: by_class(cond_log[f], _load_table) for f in FEATURES},
         unseen_log={f: by_class(unseen_log[f], _load_log) for f in FEATURES},
     )

@@ -8,7 +8,6 @@ with per-group sums and means.
 from __future__ import annotations
 
 import csv
-import difflib
 import json
 from typing import Mapping, NamedTuple, Sequence, TextIO
 
@@ -74,6 +73,7 @@ def compare_groups(
     def resolve(name: str) -> DemographicsRecord:
         record = by_name.get(name)
         if record is None:
+            import difflib  # loaded on this error path only
             close = difflib.get_close_matches(name, by_name, n=1)
             raise UnmatchedNeighborhoodError(name, close[0] if close else None)
         return record

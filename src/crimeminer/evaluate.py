@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import csv
 import json
+from array import array
 from collections import Counter
-from itertools import chain
 from typing import Mapping, NamedTuple, Sequence, TextIO
 
 from .classify import CLASSES, FEATURES, DecisionTree, NaiveBayesModel, TreeLeaf
-from .training import CLASS_INDEX, Dataset, as_dataset, fit_model, histogram_minus, seeded_permutation
+from .training import CLASS_INDEX, Dataset, as_dataset, complement, fit_model, histogram_minus, seeded_permutation
 from .errors import CrimeMinerError
-from .vocab import CrimeCategory, UnifiedCrimeRecord, round_half_up
+from .vocab import CrimeCategory, UnifiedCrimeRecord, float_sum, round_half_up
 
 # Records to score or train on: a ``Dataset`` or a list, encoded once on entry.
 Data = Dataset | Sequence[UnifiedCrimeRecord]
@@ -101,9 +101,9 @@ def classification_report(matrix: ConfusionMatrix) -> EvaluationReport:
         f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
         per_class[c] = ClassMetrics(precision, recall, f1, rows[i])
     weighted = ClassMetrics(
-        precision=sum(m.precision * m.support for m in per_class.values()) / total,
-        recall=sum(m.recall * m.support for m in per_class.values()) / total,
-        f1=sum(m.f1 * m.support for m in per_class.values()) / total,
+        precision=float_sum(m.precision * m.support for m in per_class.values()) / total,
+        recall=float_sum(m.recall * m.support for m in per_class.values()) / total,
+        f1=float_sum(m.f1 * m.support for m in per_class.values()) / total,
         support=total,
     )
     return EvaluationReport(
@@ -188,17 +188,12 @@ def _dt_pairs(tree: DecisionTree, data: Dataset) -> Counter:
     return pairs
 
 
-def make_fold_indices(n: int, k: int, seed: int) -> list[list[int]]:
-    """Seeded permutation sliced into k folds with sizes differing by at most 1."""
+def make_fold_indices(n: int, k: int, seed: int) -> list[array]:
+    """Seeded permutation sliced into k sorted folds of 4-byte items, sizes differing by at most 1."""
     indices = seeded_permutation(n, seed)
-    folds: list[list[int]] = []
     base, extra = divmod(n, k)
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        folds.append(sorted(indices[start : start + size]))
-        start += size
-    return folds
+    starts = [i * base + min(i, extra) for i in range(k + 1)]  # the first ``extra`` folds take one more
+    return [array("I", sorted(indices[start:end])) for start, end in zip(starts, starts[1:])]
 
 
 class CrossValidationResult(NamedTuple):
@@ -240,15 +235,14 @@ def cross_validate(
         from .growth import XLog2X
         terms = XLog2X()
     matrices = [
-        _fit_predict(data.subset(sorted(chain.from_iterable(f for f in folds if f is not fold)),
-                                 histogram_minus(whole, test.histogram)),
+        _fit_predict(data.subset(complement(n, fold), histogram_minus(whole, test.histogram)),
                      test, model_kind, alpha, max_leaves, terms)
         for fold, test in zip(folds, tests)
     ]
     fold_accuracies = tuple(m.trace / m.total for m in matrices)
     pooled = tuple(tuple(map(sum, zip(*rows))) for rows in zip(*(m.cells for m in matrices)))
     return CrossValidationResult(
-        mean_accuracy=sum(fold_accuracies) / k,
+        mean_accuracy=float_sum(fold_accuracies) / k,
         fold_accuracies=fold_accuracies,
         report=classification_report(ConfusionMatrix(cells=pooled)),
     )

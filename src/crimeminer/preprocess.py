@@ -11,20 +11,19 @@ import functools
 import json
 import re
 from importlib import resources
-from operator import itemgetter
+from itertools import compress
+from operator import attrgetter, itemgetter, methodcaller, not_
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 from .errors import CrimeMinerError
+from .table import UnifiedTable, as_table
 from .vocab import (  # noqa: F401 -- also re-exported for existing importers
-    HOUR_BINS, MONTH_NAMES, MONTH_RANK, TIME_BIN_ORDER, WEEKDAY_NAMES, WEEKDAY_RANK, CrimeCategory, Schema,
-    TimeBin, UnifiedCrimeRecord, bin_time, normalize_category,
+    ATTRIBUTES, HOUR_BINS, MONTH_NAMES, MONTH_RANK, TIME_BIN_ORDER, WEEKDAY_NAMES, WEEKDAY_RANK, CrimeCategory, Schema,
+    TimeBin, UnifiedCrimeRecord, bin_time, kept_by, normalize_category, normalize_location,
 )
 
 if TYPE_CHECKING:
-    import datetime as dt
-
     from .rawjsonl import RawCrimeRecord
-    from .table import UnifiedTable
 
 
 def __getattr__(name: str):
@@ -36,8 +35,8 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _calendar(date: dt.date) -> tuple[str, str, int]:
-    return MONTH_NAMES[date.month - 1], WEEKDAY_NAMES[date.weekday()], date.year
+# The time bin code of each hour, as a ``bytes.translate`` table.
+_BIN_CODES = bytes(TIME_BIN_ORDER.index(time_bin) for time_bin in HOUR_BINS).ljust(256, b"\0")
 
 
 class TypeMapping(NamedTuple):
@@ -93,36 +92,37 @@ class PreprocessReport:
 
 
 def preprocess_dataset(
-    records: Sequence[RawCrimeRecord],
+    records: Sequence[RawCrimeRecord] | UnifiedTable,
     schema: Schema,
     mapping: TypeMapping,
     *,
     max_reject_fraction: float = 0.01,
-) -> tuple[list[UnifiedCrimeRecord], PreprocessReport]:
-    """Convert crime-filtered raw records into unified records, order preserved.
+) -> tuple[UnifiedTable, PreprocessReport]:
+    """Convert crime-filtered raw records (a table or a list) into the unified table, order preserved.
 
     Records whose offense category is absent from the mapping (or which lack a
     clock time) are excluded and counted. If the rejected fraction exceeds
     ``max_reject_fraction`` the run aborts: a large rejection rate means the
     mapping does not fit the dataset.
     """
+    from .rawjsonl import RAW, Memo
+    categories, dates, times, locations, _, _ = as_table(records, RAW).columns
     report = PreprocessReport(schema.value)
-    out: list[UnifiedCrimeRecord] = []
-    entries = mapping.entries
-    calendar = functools.cache(_calendar)  # one derivation per distinct date
-    for raw_category, date, time, location, _, _ in records:
+    codes = {text: category - 1 for text, category in mapping.entries.items()}  # each type's code
+    keep = bytes(time is not None and category in codes for category, time in zip(categories, times))
+    for category, time in compress(zip(categories, times), map(not_, keep)):
         if time is None:
             report.reject("missing-time")
-            continue
-        category = entries.get(raw_category)
-        if category is None:
+        else:
             report.reject("unmapped-category")
-            counts = report.rejected_categories
-            counts[raw_category] = counts.get(raw_category, 0) + 1
-            continue
-        month, day, year = calendar(date)
-        hour = time.hour
-        out.append(_new(UnifiedCrimeRecord, (category, month, day, HOUR_BINS[hour], location, year, hour)))
+            report.rejected_categories[category] = report.rejected_categories.get(category, 0) + 1
+    hours = bytearray(map(attrgetter("hour"), compress(times, keep)))
+    # One derivation per distinct date, the date objects being the reader's shared ones.
+    months, days, years = (map(Memo(derive).__getitem__, compress(dates, keep))
+                           for derive in (lambda date: date.month - 1, methodcaller("weekday"), attrgetter("year")))
+    out = UnifiedTable((bytearray(map(codes.__getitem__, compress(categories, keep))), bytearray(months),
+                        bytearray(days), hours.translate(_BIN_CODES), list(compress(locations, keep)), list(years),
+                        hours))
     report.rows_out = len(out)
     report.rows_in = report.rows_out + report.rows_rejected
 
@@ -159,6 +159,13 @@ _unified_values = itemgetter(*_UNIFIED_TYPES)
 _TYPE_HOURS = {(int(category), hour): (category.label, time_bin.value, category, time_bin)
                for category in CrimeCategory for hour, time_bin in enumerate(HOUR_BINS)}
 _new = tuple.__new__  # builds a record as UnifiedCrimeRecord._make does, without a Python frame
+_location = kept_by(normalize_location, "location")
+
+
+def _year(year: int) -> int:
+    if not 1 <= year <= 9999:  # the years ``datetime.date`` holds
+        raise ValueError(f"bad year {year}")
+    return year
 
 
 def unified_from_json_dict(obj: Mapping) -> UnifiedCrimeRecord:
@@ -187,9 +194,7 @@ def unified_from_json_dict(obj: Mapping) -> UnifiedCrimeRecord:
         raise ValueError(f"bad month {month!r}")
     if day not in WEEKDAY_RANK:
         raise ValueError(f"bad day {day!r}")
-    if not location or location.strip() != location:
-        raise ValueError(f"bad location {location!r}")
-    return _new(UnifiedCrimeRecord, (category, month, day, time_bin, location, year, hour))
+    return _new(UnifiedCrimeRecord, (category, month, day, time_bin, _location(location), _year(year), hour))
 
 
 # One line of ``json.dumps(unified_to_json_dict(record), sort_keys=True)``.
@@ -197,14 +202,15 @@ def unified_from_json_dict(obj: Mapping) -> UnifiedCrimeRecord:
 # from closed vocabularies and go in as they are.
 _UNIFIED_LINE = ('{"day": "%s", "hour": %d, "location": %s, "month": "%s", "time": "%s", '
                  '"type": "%s", "type_id": %d, "year": %d}\n')
-_LABELS = {category: category.label for category in CrimeCategory}
-_BIN_VALUES = {time_bin: time_bin.value for time_bin in TimeBin}
+_LABELS = ATTRIBUTES["type"].order
+_BIN_VALUES = ATTRIBUTES["time"].order
 
 
-def write_unified_jsonl(records: Iterable[UnifiedCrimeRecord], fp: TextIO) -> None:
+def write_unified_jsonl(records: UnifiedTable | Iterable[UnifiedCrimeRecord], fp: TextIO) -> None:
+    """One line per record of a table (or a record list, made one), from its codes."""
     quoted = functools.cache(json.dumps)  # one encoding per distinct location
-    fp.writelines(_UNIFIED_LINE % (r.day, r.hour, quoted(r.location), r.month, _BIN_VALUES[r.time],
-                                   _LABELS[r.crime_type], r.crime_type, r.year) for r in records)
+    fp.writelines(_UNIFIED_LINE % (WEEKDAY_NAMES[d], h, quoted(place), MONTH_NAMES[m], _BIN_VALUES[b], _LABELS[t],
+                                   t + 1, y) for t, m, d, b, place, y, h in zip(*as_table(records).columns))
 
 
 def read_jsonl(lines: Iterable[str], decode: Callable[[object], object], kind: str,
@@ -229,29 +235,29 @@ _TEMPLATE = re.compile(
     r'^\{"day": "([A-Za-z]+)", "hour": ([0-9]+), "location": "([^"\\\x00-\x1f]+)", '
     r'"month": "([A-Za-z]+)", "time": "(T[0-9]", "type": "[A-Za-z ]+", "type_id": [0-9]+), '
     r'"year": (-?(?:0|[1-9][0-9]{0,9}))\}$', re.M)
-_DAYS = {name: name for name in WEEKDAY_NAMES}
-_MONTHS = {name: name for name in MONTH_NAMES}
-# The written text of (time, type, type_id) and hour -> the category, bin and hour they read as.
-_TYPE_HOUR_TEXTS = {
-    (f'{bin_value}", "type": "{label}", "type_id": {type_id}', str(hour)): (category, time_bin, hour)
-    for (type_id, hour), (label, bin_value, category, time_bin) in _TYPE_HOURS.items()}
-_BLOCK_CHARS = 1 << 16  # lines read and matched at a time
+_DAYS = {name: code for code, name in enumerate(WEEKDAY_NAMES)}
+_MONTHS = {name: code for code, name in enumerate(MONTH_NAMES)}
+# The written text of (time, type, type_id) and hour -> the type, bin and hour codes they read as.
+_TYPE_HOUR_TEXTS = {(f'{bin_value}", "type": "{label}", "type_id": {type_id}', str(hour)):
+                    (type_id - 1, TIME_BIN_ORDER.index(time_bin), hour)
+                    for (type_id, hour), (label, bin_value, _, time_bin) in _TYPE_HOURS.items()}
+_BLOCK_CHARS = 1 << 14  # lines read and matched at a time
 
 
 def _template_columns(days, hours, places, months, types, year_texts, years: dict, locations: dict) -> tuple | None:
-    """The field columns of template lines' groups when each value is known,
-    else None. ``years`` and ``locations`` hold each text already checked, with its value."""
-    for text in set(year_texts).difference(years):
-        years[text] = int(text)
-    for text in set(places).difference(locations):
-        if text.strip() != text:
-            return None
-        locations[text] = text
+    """The coded field columns of template lines' groups when each value is
+    one ``unified_from_json_dict`` takes, else None. ``years`` and ``locations``
+    hold each text already checked, with its value."""
     try:
-        categories, bins, hours = zip(*map(_TYPE_HOUR_TEXTS.__getitem__, zip(types, hours)))
-        return (categories, list(map(_MONTHS.__getitem__, months)), list(map(_DAYS.__getitem__, days)), bins,
-                list(map(locations.__getitem__, places)), list(map(years.__getitem__, year_texts)), hours)
-    except KeyError:
+        for text in set(year_texts).difference(years):
+            years[text] = _year(int(text))
+        for text in set(places).difference(locations):
+            locations[text] = _location(text)
+        types, bins, hours = zip(*map(_TYPE_HOUR_TEXTS.__getitem__, zip(types, hours)))
+        return (bytes(types), bytes(map(_MONTHS.__getitem__, months)), bytes(map(_DAYS.__getitem__, days)),
+                bytes(bins), list(map(locations.__getitem__, places)), list(map(years.__getitem__, year_texts)),
+                bytes(hours))
+    except (KeyError, ValueError):
         return None
 
 
@@ -293,11 +299,10 @@ def read_jsonl_blocks(fp: TextIO, template: re.Pattern, build: Callable[..., tup
 
 def read_unified_jsonl(fp: TextIO) -> UnifiedTable:
     """What ``read_jsonl`` with ``unified_from_json_dict`` gives, as a table of
-    field columns, reading blocks of written lines against ``_TEMPLATE``, whose
-    lookups then accept only the written vocabulary and pairs, a JSON integer
-    year and a non-empty, unpadded location. Each distinct location is kept as
-    one string, and no record is built."""
-    from .table import UnifiedTable, as_table  # loaded here: ``preprocess`` itself reads no table
+    coded field columns, reading blocks of written lines against ``_TEMPLATE``,
+    whose lookups then accept only the written vocabulary and pairs, a year of
+    1..9999 and a location that ``normalize_location`` keeps. Each distinct
+    location is kept as one string, and no record is built."""
     build = functools.partial(_template_columns, years={}, locations={})
     return UnifiedTable(read_jsonl_blocks(fp, _TEMPLATE, build, unified_from_json_dict, "unified",
                                           lambda records: as_table(records).columns))

@@ -14,9 +14,10 @@ import datetime as dt
 import functools
 import json
 import re
-from itertools import repeat
 from operator import itemgetter, methodcaller
-from typing import Iterable, Mapping, NamedTuple, TextIO
+from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
+
+from .vocab import kept_by, normalize_category, normalize_location
 
 
 class RawCrimeRecord(NamedTuple):
@@ -42,6 +43,8 @@ class Memo(dict):
 
 
 _new = tuple.__new__  # builds a record as RawCrimeRecord._make does, without a Python frame
+RAW = (RawCrimeRecord, ((None, list),) * 6)  # the ``table`` layout of raw records: each field a list of values
+_category, _location = kept_by(normalize_category, "category"), kept_by(normalize_location, "location")
 
 
 def raw_to_json_dict(record: RawCrimeRecord) -> dict:
@@ -101,7 +104,7 @@ def raw_from_json_dict(obj: Mapping, dates=_written_date, clocks=_written_clock)
         name = next(name for name, kinds in _RAW_TYPES.items() if type(obj[name]) not in kinds)
         raise ValueError(f"{name} cannot be {obj[name]!r}")
     time = None if time is None else clocks(time)
-    return _new(RawCrimeRecord, (category, dates(date), time, location, is_crime, source_row))
+    return _new(RawCrimeRecord, (_category(category), dates(date), time, _location(location), is_crime, source_row))
 
 
 def _clock_json(time: dt.time | None) -> str:
@@ -129,25 +132,25 @@ _RAW_TEMPLATE = (r'^\{"category": "([^"\\\x00-\x1f]*)", "date": "([0-9]{4}-[0-9]
 _JSON_FLAGS = {"true": True, "false": False, "null": None}
 
 
-def _raw_template_records(categories, date_texts, flags, places, source_rows, clock_texts,
-                          dates: Memo, clocks: Memo, texts: Memo) -> tuple[list] | None:
-    """The records of template lines' groups, as one column, or None when a date or clock is not real."""
+def _raw_template_columns(categories, date_texts, flags, places, source_rows, clock_texts,
+                          dates: Memo, clocks: Memo, kinds: Memo, places_seen: Memo) -> tuple[list, ...] | None:
+    """The field columns of template lines' groups, or None for a value ``raw_from_json_dict`` rejects."""
     try:
-        return (list(map(_new, repeat(RawCrimeRecord), zip(
-            map(texts.__getitem__, categories), map(dates.__getitem__, date_texts),
-            map(clocks.__getitem__, clock_texts), map(texts.__getitem__, places),
-            map(_JSON_FLAGS.__getitem__, flags), map(int, source_rows)))),)
+        return (list(map(kinds.__getitem__, categories)), list(map(dates.__getitem__, date_texts)),
+                list(map(clocks.__getitem__, clock_texts)), list(map(places_seen.__getitem__, places)),
+                list(map(_JSON_FLAGS.__getitem__, flags)), list(map(int, source_rows)))
     except ValueError:
         return None
 
 
-def read_raw_jsonl(fp: TextIO) -> list[RawCrimeRecord]:
-    """What ``read_jsonl`` with ``raw_from_json_dict`` gives, reading blocks of
-    written lines against ``_RAW_TEMPLATE``. Each distinct date and clock is
-    parsed once, and each category and location kept as one string."""
+def read_raw_jsonl(fp: TextIO) -> Sequence[RawCrimeRecord]:
+    """What ``read_jsonl`` with ``raw_from_json_dict`` gives, as a ``RAW`` table, reading blocks of written
+    lines against ``_RAW_TEMPLATE``. Each distinct text, date and clock is checked or parsed once."""
     from .preprocess import read_jsonl_blocks  # imported here: the ingest stage loads no preprocess
+    from .table import UnifiedTable, as_table
     clocks = Memo(_written_clock)
     clocks[""] = None  # the template's null
-    build = functools.partial(_raw_template_records, dates=Memo(_written_date), clocks=clocks, texts=Memo(str))
-    return read_jsonl_blocks(fp, re.compile(_RAW_TEMPLATE, re.M), build, raw_from_json_dict, "raw",
-                             lambda records: (records,))[0]
+    build = functools.partial(_raw_template_columns, dates=Memo(_written_date), clocks=clocks,
+                              kinds=Memo(_category), places_seen=Memo(_location))
+    return UnifiedTable(read_jsonl_blocks(fp, re.compile(_RAW_TEMPLATE, re.M), build, raw_from_json_dict, "raw",
+                                          lambda records: as_table(records, RAW).columns), RAW)

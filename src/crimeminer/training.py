@@ -10,16 +10,17 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from collections import Counter
-from itertools import compress
-from operator import sub
+from itertools import compress, repeat
+from operator import add, mul, sub
 from typing import Hashable, Mapping, Sequence
 
 from . import classify
 from .classify import CLASSES, FEATURES, NaiveBayesModel
 from .errors import CrimeMinerError
 from .table import UnifiedTable, as_table
-from .vocab import ATTRIBUTES, TIME_BIN_ORDER, CrimeCategory, UnifiedCrimeRecord
+from .vocab import ATTRIBUTES, CrimeCategory, UnifiedCrimeRecord
 
 # --- train/test splitting ----------------------------------------------------
 
@@ -35,12 +36,20 @@ class SplitSpec:
         self.seed = seed
 
 
-def seeded_permutation(n: int, seed: int) -> list[int]:
-    """``0..n-1`` shuffled by ``random.Random(seed)``: the order behind both the
-    train/test split and the cross-validation folds."""
-    indices = list(range(n))
+def seeded_permutation(n: int, seed: int) -> array:
+    """``0..n-1`` shuffled by ``random.Random(seed)`` (as a list would be), in 4-byte
+    items: the order behind both the train/test split and the cross-validation folds."""
+    indices = array("I", range(n))
     random.Random(seed).shuffle(indices)
     return indices
+
+
+def complement(n: int, rows: Sequence[int]) -> array:
+    """The indices ``0..n-1`` that are not in ``rows``, in order."""
+    kept = bytearray(b"\1") * n
+    for i in rows:
+        kept[i] = 0
+    return array("I", compress(range(n), kept))
 
 
 def split_train_test(dataset: Sequence, spec: SplitSpec) -> tuple[list, list]:
@@ -55,8 +64,8 @@ def split_train_test(dataset: Sequence, spec: SplitSpec) -> tuple[list, list]:
         raise CrimeMinerError(f"need at least 2 records to split, got {n}")
     indices = seeded_permutation(n, spec.seed)
     n_train = math.floor(spec.train_fraction * n + 0.5)
-    train_indices = sorted(indices[:n_train])
-    test_indices = sorted(indices[n_train:])
+    test_indices = array("I", sorted(indices[n_train:]))
+    train_indices = complement(n, test_indices)
     if isinstance(dataset, Dataset):
         return dataset.subset(train_indices), dataset.subset(test_indices)
     return [dataset[i] for i in train_indices], [dataset[i] for i in test_indices]
@@ -66,19 +75,23 @@ def split_train_test(dataset: Sequence, spec: SplitSpec) -> tuple[list, list]:
 
 CLASS_INDEX = {c: i for i, c in enumerate(CLASSES)}  # each class's position in CLASSES
 N_CLASSES = len(CLASSES)  # a joint code is value * N_CLASSES + class index
-# Time bins are coded from the members: Enum's ``value`` property is slow.
-_MEMBER_CODES = {"time": {b: i for i, b in enumerate(TIME_BIN_ORDER)}}
+
+
+def _codes(size: int, values) -> bytes | array:
+    """``values``, each below ``size``, as one byte each, or as 2- or 4-byte array items."""
+    return bytes(values) if size <= 256 else array("H" if size <= 1 << 16 else "I", values)
 
 
 class Dataset:
-    """The four features and the class of records, as integer columns.
+    """The four features and the class of records, as integer columns: a view on a table's codes.
 
     ``values[f]`` lists feature f's values in canonical order (locations
     sorted), ``codes[f]`` maps each value to its position there, and
-    ``columns[f][i]`` is record i's position. ``labels[i]`` is record i's
-    class as an index into ``CLASSES``; ``joint[f][i]`` packs both as
-    ``value * 6 + label``. ``rows`` lists the records a dataset holds, in
-    order: a subset shares every column and keeps its own ``rows``.
+    ``columns[f][i]`` is record i's position, the table's own column but for
+    locations. ``labels[i]`` is record i's class as an index into ``CLASSES``
+    (the table's type column); ``joint[f][i]`` packs both as ``value * 6 +
+    label``. ``rows`` lists the records a dataset holds, in order: a subset
+    shares every column and keeps its own ``rows``.
     """
 
     __slots__ = ("values", "codes", "columns", "labels", "joint", "rows", "_histogram")
@@ -94,17 +107,18 @@ class Dataset:
 
     @classmethod
     def from_records(cls, records: UnifiedTable | Sequence[UnifiedCrimeRecord]) -> "Dataset":
-        """The encoding of a table's columns; a record list is made a table first."""
+        """The view on a table, which encodes only its locations; a record list is made a table first."""
         table = as_table(records)
-        labels = list(map(CLASS_INDEX.__getitem__, table.column("crime_type")))
-        values, codes, columns, joint = {}, {}, {}, {}
-        for feature in FEATURES:
-            raw = table.column(feature)  # time: the ``TimeBin`` members
-            values[feature] = ATTRIBUTES[feature].order or tuple(sorted(set(raw)))
-            codes[feature] = {v: i for i, v in enumerate(values[feature])}
-            columns[feature] = list(map(_MEMBER_CODES.get(feature, codes[feature]).__getitem__, raw))
-            joint[feature] = [v * N_CLASSES + c for v, c in zip(columns[feature], labels)]
-        return cls(values, codes, columns, labels, joint, list(range(len(table))))
+        locations = table.column("location")
+        values = {feature: ATTRIBUTES[feature].order or tuple(sorted(set(locations))) for feature in FEATURES}
+        codes = {feature: {v: i for i, v in enumerate(values[feature])} for feature in FEATURES}
+        columns = {feature: table.column(feature) for feature in FEATURES[:3]}
+        columns["location"] = _codes(len(values["location"]), map(codes["location"].__getitem__, locations))
+        labels = table.column("crime_type")
+        joint = {feature: _codes(len(values[feature]) * N_CLASSES,
+                                 map(add, map(mul, column, repeat(N_CLASSES)), labels))
+                 for feature, column in columns.items()}
+        return cls(values, codes, columns, labels, joint, range(len(table)))
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -120,8 +134,8 @@ class Dataset:
     def subset(self, indices: Sequence[int], histogram=None) -> "Dataset":
         """The records at ``indices`` (positions in this dataset), in that
         order; ``histogram``, if given, must be theirs."""
-        return Dataset(self.values, self.codes, self.columns, self.labels, self.joint,
-                       list(map(self.rows.__getitem__, indices)), histogram)
+        rows = indices if isinstance(self.rows, range) else array("I", map(self.rows.__getitem__, indices))
+        return Dataset(self.values, self.codes, self.columns, self.labels, self.joint, rows, histogram)
 
 
 def count_histogram(data: Dataset, rows) -> tuple[list[int], ...]:

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import re
 from enum import Enum, IntEnum
-from operator import attrgetter
+from functools import reduce
+from operator import add, attrgetter
 from typing import Callable, NamedTuple
 
 from .errors import CrimeMinerError
@@ -29,6 +30,20 @@ def normalize_location(name: str) -> str:
 def normalize_category(name: str) -> str:
     """Lowercase an offense category and collapse internal whitespace."""
     return _WHITESPACE_RUN.sub(" ", name.strip().lower())
+
+
+def kept_by(normalize: Callable[[str], str], field: str) -> Callable[[str], str]:
+    """A reader's check of a ``field`` text: non-empty and left as it is by ``normalize``, as written."""
+    def check(text: str) -> str:
+        if not text or normalize(text) != text:
+            raise ValueError(f"bad {field} {text!r}")
+        return text
+    return check
+
+
+def float_sum(values) -> float:
+    """Floats added left to right, as ``sum`` adds them up to Python 3.11 (3.12's compensates, changing last bits)."""
+    return reduce(add, values, 0)
 
 
 def round_half_up(value: float, places: int) -> str:

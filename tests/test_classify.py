@@ -66,7 +66,7 @@ class TestSplit:
 
     def test_train_side_is_the_head_of_the_seeded_permutation(self):
         # The same permutation cuts the cross-validation folds (see test_evaluate).
-        assert seeded_permutation(10, 42) == [7, 3, 2, 8, 5, 6, 9, 4, 0, 1]
+        assert list(seeded_permutation(10, 42)) == [7, 3, 2, 8, 5, 6, 9, 4, 0, 1]
         dataset = [make_record(year=2000 + i) for i in range(10)]
         train, test = split_train_test(dataset, SplitSpec(0.8, seed=42))
         assert [r.year - 2000 for r in train] == [2, 3, 4, 5, 6, 7, 8, 9]

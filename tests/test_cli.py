@@ -609,6 +609,8 @@ class TestModelFiles:
         pytest.param("nb-v1", lambda m: m["cond_log"]["day"]["2"].update(Friday="-2"), id="cond-log-string"),
         pytest.param("nb-v1", lambda m: m["unseen_log"]["location"].update({"3": True}), id="unseen-log-bool"),
         pytest.param("nb-v1", lambda m: m["vocab"]["location"].append(7), id="vocab-int"),
+        pytest.param("nb-v1", lambda m: m["vocab"].update(location="cbd"), id="vocab-string"),
+        pytest.param("nb-v1", lambda m: m["vocab"].update(location={"cbd": 1}), id="vocab-object"),
         pytest.param("nb-v1", lambda m: m.update(trained_on="denver"), id="nb-unknown-key"),
         pytest.param("nb-v1", lambda m: m["cond_log"].update(weather=m["cond_log"]["day"]), id="cond-log-unknown-feature"),
         pytest.param("nb-v1", lambda m: m["vocab"].update(weather=["rain"]), id="vocab-unknown-feature"),
@@ -653,6 +655,36 @@ class TestModelFiles:
         path.write_text(json.dumps(model), encoding="utf-8")
         assert main(["predict", "--model", str(path), "--month", "June", "--day", "Friday",
                      "--time", "T6", "--location", "cbd", "--output", str(tmp_path / "p.json")]) == 0
+
+
+GOOD_UNIFIED = {"day": "Friday", "hour": 21, "location": "cbd", "month": "June", "time": "T6", "type": "Theft",
+                "type_id": 5, "year": 2014}
+GOOD_RAW = {"category": "larceny", "date": "2014-06-13", "is_crime": True, "location": "five-points",
+            "source_row": 7, "time": "21:30"}
+
+
+class TestWrittenValuesOnly:
+    """A JSON Lines file holding a value its writer never writes (a year no date
+    holds, a location or category that normalization would change) is a one-line
+    data error naming the line and the field, on the template path or not."""
+
+    @pytest.mark.parametrize("kind, change", [
+        ("unified", {"year": 0}), ("unified", {"year": -7}), ("unified", {"year": 9999999999}),
+        ("unified", {"location": "Civic Center"}), ("unified", {"location": "civic  center"}),
+        ("raw", {"location": "Civic Center"}), ("raw", {"category": "Larceny"}), ("raw", {"category": "all  other"}),
+    ])
+    def test_a_value_no_writer_writes_is_a_one_line_error(self, tmp_path, capsys, kind, change):
+        good = GOOD_UNIFIED if kind == "unified" else GOOD_RAW
+        lines = [json.dumps(good, sort_keys=True)] * 3 + [json.dumps({**good, **change}, sort_keys=True)]
+        path = tmp_path / f"{kind}.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = (["stats", "--dataset", str(path), "--attribute", "day"] if kind == "unified"
+                else ["preprocess", "--schema", "denver", "--input", str(path)])
+        assert main([*argv, "--output", str(tmp_path / "out")]) == 2
+        (field, value), = change.items()
+        assert assert_one_line_error(capsys, "error: ") == (
+            f"error: {path}: bad {kind} record on line 4: bad {field} {value!r}\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestWholeOutputs:
@@ -957,13 +989,20 @@ class TestImports:
         loaded = modules_after(["preprocess", "--schema", "denver", "--input", str(pipeline / "raw.jsonl"),
                                 "--output", out])
         assert "crimeminer.rawjsonl" in loaded
-        assert "crimeminer.table" not in loaded  # the columnar read is the analytic stages' alone
+        assert "crimeminer.table" in loaded  # the raw read and the unified output are tables
         assert not loaded & {"crimeminer.ingestion", "crimeminer.csvrows", "crimeminer.demographics_csv"}
         loaded = modules_after(["demographics", "--dataset", str(pipeline / "unified.jsonl"),
                                 "--demographics", str(pipeline / "demo.csv"), "--top", "2", "--bottom", "2",
                                 "--output", out])
         assert "crimeminer.demographics_csv" in loaded
         assert not loaded & {"crimeminer.ingestion", "crimeminer.rawjsonl"}
+
+    def test_demographics_loads_difflib_only_for_an_unmatched_neighborhood(self, pipeline):
+        """``difflib`` suggests the nearest name, on the error path alone."""
+        loaded = modules_after(["demographics", "--dataset", str(pipeline / "unified.jsonl"), "--demographics",
+                                str(pipeline / "demo.csv"), "--top", "2", "--bottom", "2",
+                                "--output", str(pipeline / "out")])
+        assert "crimeminer.demographics" in loaded and "difflib" not in loaded
 
     def test_config_code_loads_only_with_config(self, pipeline):
         dataset = ["--dataset", str(pipeline / "unified.jsonl")]

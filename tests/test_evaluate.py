@@ -143,8 +143,8 @@ class TestCrossValidation:
 
     def test_folds_are_consecutive_slices_of_the_seeded_permutation(self):
         # The same permutation cuts the train/test split (see test_classify).
-        assert seeded_permutation(10, 42) == [7, 3, 2, 8, 5, 6, 9, 4, 0, 1]
-        assert make_fold_indices(10, 3, seed=42) == [[2, 3, 7, 8], [5, 6, 9], [0, 1, 4]]
+        assert list(seeded_permutation(10, 42)) == [7, 3, 2, 8, 5, 6, 9, 4, 0, 1]
+        assert [list(fold) for fold in make_fold_indices(10, 3, seed=42)] == [[2, 3, 7, 8], [5, 6, 9], [0, 1, 4]]
 
     def test_leave_one_out_on_six_records(self):
         dataset = [make_record(crime_type=c, hour=int(c)) for c in CrimeCategory]

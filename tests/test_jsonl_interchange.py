@@ -36,6 +36,7 @@ from crimeminer.rawjsonl import (
     read_raw_jsonl,
     write_raw_jsonl,
 )
+from crimeminer.vocab import normalize_category, normalize_location
 
 # --- writers ------------------------------------------------------------------
 
@@ -48,6 +49,20 @@ raw_records = st.builds(RawCrimeRecord, FREE_TEXT, st.dates(), st.none() | st.ti
 unified_records = st.builds(UnifiedCrimeRecord, st.sampled_from(CrimeCategory), st.sampled_from(MONTH_NAMES),
                             st.sampled_from(WEEKDAY_NAMES), st.sampled_from(TimeBin), FREE_TEXT, st.integers(),
                             st.integers(0, 23))
+
+
+def kept_by(normalize):
+    """Free text that ``normalize`` leaves as it is, as ``ingest`` and ``preprocess`` write it."""
+    return FREE_TEXT.map(normalize).filter(lambda text: text and normalize(text) == text)
+
+
+# Records the readers take back: those texts (escaped and non-ASCII ones among
+# them) and the years ``datetime.date`` holds.
+readable_raw_records = st.builds(RawCrimeRecord, kept_by(normalize_category), st.dates(), st.none() | st.times(),
+                                 kept_by(normalize_location), st.sampled_from([True, False, None]), st.integers())
+readable_unified_records = st.builds(
+    UnifiedCrimeRecord, st.sampled_from(CrimeCategory), st.sampled_from(MONTH_NAMES), st.sampled_from(WEEKDAY_NAMES),
+    st.sampled_from(TimeBin), kept_by(normalize_location), st.integers(1, 9999), st.integers(0, 23))
 
 
 def written(write, records) -> str:
@@ -241,6 +256,12 @@ NEAR_MISSES = [
     ("unified", {"time": "T1"}, "time"),
     ("unified", {"extra": 1}, "extra"),
     ("unified", {"type": MISSING}, "type"),
+    ("unified", {"year": 0}, "year"),
+    ("unified", {"year": -7}, "year"),
+    ("unified", {"year": 10000}, "year"),
+    ("unified", {"year": 9999999999}, "year"),
+    ("unified", {"location": "Civic Center"}, "location"),
+    ("unified", {"location": "civic--center"}, "location"),
     ("raw", {"category": 5}, "category"),
     ("raw", {"location": 7}, "location"),
     ("raw", {"is_crime": 1}, "is_crime"),
@@ -257,6 +278,11 @@ NEAR_MISSES = [
     ("raw", {"time": "7:5"}, "time"),
     ("raw", {"time": "21:30:59"}, "time"),
     ("raw", {"time": " 21 : 30 "}, "time"),
+    ("raw", {"location": "Civic Center"}, "location"),
+    ("raw", {"location": ""}, "location"),
+    ("raw", {"category": "Larceny"}, "category"),
+    ("raw", {"category": "all  other"}, "category"),
+    ("raw", {"category": ""}, "category"),
 ]
 
 
@@ -299,7 +325,7 @@ def unified_files(draw):
     among them), with blank and near-miss lines put in, each line ended by
     LF, CRLF or CR, the last sometimes by nothing."""
     lines = [written(write_unified_jsonl, [record]).rstrip("\n")
-             for record in draw(st.lists(unified_records, max_size=12))]
+             for record in draw(st.lists(readable_unified_records, max_size=12))]
     for _ in range(draw(st.integers(0, 3))):
         extra = draw(st.sampled_from(BLANKISH) | st.sampled_from(NEAR_LINES))
         lines.insert(draw(st.integers(0, len(lines))), extra)
@@ -394,7 +420,8 @@ def raw_files(draw):
     """Written lines of generated records (escaped, non-ASCII and long-number
     values among them), with blank and near-miss lines put in, each line
     ended by LF, CRLF or CR, the last sometimes by nothing."""
-    lines = [written(write_raw_jsonl, [record]).rstrip("\n") for record in draw(st.lists(raw_records, max_size=12))]
+    lines = [written(write_raw_jsonl, [record]).rstrip("\n")
+             for record in draw(st.lists(readable_raw_records, max_size=12))]
     for _ in range(draw(st.integers(0, 3))):
         extra = draw(st.sampled_from(BLANKISH) | st.sampled_from(NEAR_RAW_LINES))
         lines.insert(draw(st.integers(0, len(lines))), extra)
@@ -434,3 +461,11 @@ def test_a_raw_file_of_many_blocks_reads_every_record():
     assert len({id(r.offense_category) for r in got}) == 13
     bad = text.replace('"place-5"', '"place-5\\u0020"', 2000)
     assert outcome(read_raw_jsonl, bad, None) == outcome(read_raw_line_by_line, bad, None)
+
+
+@pytest.mark.parametrize("year", [1, 9999])
+def test_the_years_a_date_holds_read_on_both_paths(year):
+    line = json.dumps({**UNIFIED, "year": year}, sort_keys=True)
+    escaped = json.dumps({**UNIFIED, "year": year, "location": "caf\xe9"}, sort_keys=True)  # no template line
+    text = f"{line}\n" * 3 + f"{escaped}\n"
+    assert [r.year for r in read_unified_jsonl(io.StringIO(text))] == [year] * 4

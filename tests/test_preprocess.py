@@ -22,6 +22,7 @@ from crimeminer.preprocess import (
     TypeMapping,
     UnifiedCrimeRecord,
     bin_time,
+    normalize_location,
     preprocess_dataset,
     read_unified_jsonl,
     unified_from_json_dict,
@@ -246,7 +247,9 @@ class TestUnifiedJsonl:
         with pytest.raises(ValueError):
             unified_from_json_dict(obj)
 
-    @given(unified_records(), st.text(min_size=1).map(str.strip).filter(bool), st.integers())
+    # Any location ``normalize_location`` keeps, and any year ``datetime.date`` holds: what ``preprocess`` writes.
+    @given(unified_records(), st.text(min_size=1).map(normalize_location).filter(
+        lambda text: text and normalize_location(text) == text), st.integers(1, 9999))
     def test_written_records_decode_as_themselves(self, record, location, year):
         for r in (record, record._replace(location=location, year=year)):
             assert repr(unified_from_json_dict(unified_to_json_dict(r))) == repr(r)  # same type, same fields
