@@ -253,8 +253,8 @@ def _template_columns(days, hours, places, months, types, year_texts, years: dic
             years[text] = _year(int(text))
         for text in set(places).difference(locations):
             locations[text] = _location(text)
-        types, bins, hours = zip(*map(_TYPE_HOUR_TEXTS.__getitem__, zip(types, hours)))
-        return (bytes(types), bytes(map(_MONTHS.__getitem__, months)), bytes(map(_DAYS.__getitem__, days)),
+        type_codes, bins, hours = zip(*map(_TYPE_HOUR_TEXTS.__getitem__, zip(types, hours)))
+        return (bytes(type_codes), bytes(map(_MONTHS.__getitem__, months)), bytes(map(_DAYS.__getitem__, days)),
                 bytes(bins), list(map(locations.__getitem__, places)), list(map(years.__getitem__, year_texts)),
                 bytes(hours))
     except (KeyError, ValueError):

@@ -51,18 +51,18 @@ unified_records = st.builds(UnifiedCrimeRecord, st.sampled_from(CrimeCategory), 
                             st.integers(0, 23))
 
 
-def kept_by(normalize):
+def kept_text(normalize):
     """Free text that ``normalize`` leaves as it is, as ``ingest`` and ``preprocess`` write it."""
     return FREE_TEXT.map(normalize).filter(lambda text: text and normalize(text) == text)
 
 
 # Records the readers take back: those texts (escaped and non-ASCII ones among
 # them) and the years ``datetime.date`` holds.
-readable_raw_records = st.builds(RawCrimeRecord, kept_by(normalize_category), st.dates(), st.none() | st.times(),
-                                 kept_by(normalize_location), st.sampled_from([True, False, None]), st.integers())
+readable_raw_records = st.builds(RawCrimeRecord, kept_text(normalize_category), st.dates(), st.none() | st.times(),
+                                 kept_text(normalize_location), st.sampled_from([True, False, None]), st.integers())
 readable_unified_records = st.builds(
     UnifiedCrimeRecord, st.sampled_from(CrimeCategory), st.sampled_from(MONTH_NAMES), st.sampled_from(WEEKDAY_NAMES),
-    st.sampled_from(TimeBin), kept_by(normalize_location), st.integers(1, 9999), st.integers(0, 23))
+    st.sampled_from(TimeBin), kept_text(normalize_location), st.integers(1, 9999), st.integers(0, 23))
 
 
 def written(write, records) -> str:
